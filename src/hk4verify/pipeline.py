@@ -57,6 +57,7 @@ from .quotient import (
 from .riemann_roch import CandidateRecord, admits_zero_chi, delta, filter_candidates
 from .topology import (
     InadmissiblePairError,
+    admissible_b4,
     betti_from_pair,
     chern_from_betti,
     euler_characteristic,
@@ -205,7 +206,7 @@ def parse_candidates(
         else:
             seen[(b2, b3)] = lineno
             try:
-                betti_from_pair(b2, b3)
+                admissible_b4(b2, b3)
             except InadmissiblePairError as exc:
                 error = str(exc)
         rows.append(CandidateRow(line=lineno, b2=b2, b3=b3, error=error))
@@ -244,6 +245,10 @@ def prove(
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
     primes = tuple(primes)
+    if not primes:
+        raise ValueError("at least one prime is required")
+    if len(set(primes)) != len(primes):
+        raise ValueError(f"duplicate primes in {primes}")
     for p in primes:
         if not is_prime(p):
             raise ValueError(f"not a prime: {p}")

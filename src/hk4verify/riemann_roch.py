@@ -13,6 +13,18 @@ polynomial to a function of c4 alone (rr_chi_hk).  Existence of a rational
 lambda with chi = 0 then forces the discriminant to be a rational square,
 which very few values of c4 survive; filter_candidates applies that test to
 (b2, b3) candidates via their Chern numbers.
+
+Integer form.  With u = 3024 - c4 the coefficients are linear = u/864 and
+quadratic = u/3456, so the discriminant is delta = N / 864^2 with
+
+    N = u * (u - 2592) = (3024 - c4) * (432 - c4).
+
+As 864^2 is a square, delta is a rational square iff N is a perfect integer
+square s^2 (s = isqrt(N), N >= 0); then sqrt(delta) = s/864 and, for u != 0,
+the roots of chi = 0 are 2(s - u)/u and -2(s + u)/u.  At u = 0 (c4 = 3024)
+N = 0 is a square but chi is the constant 3, so there are no roots.  The
+filter runs on these integers; Fraction is built only for the values a
+record carries.  RRPolynomial keeps the rational quadratic for evaluation.
 """
 
 from __future__ import annotations
@@ -20,11 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import rational_sqrt_exact, solve_rational_quadratic
+from .exact import int_sqrt_exact, solve_rational_quadratic
 from .topology import ChernData, chern_from_betti
 
 #: chi(W, O) of a compact hyperkahler 4-fold, equal to 2160/720.
 CHI_TRIVIAL_BUNDLE = Fraction(3)
+
+#: 864^2, the denominator of delta over its integer numerator N.
+_DELTA_DENOMINATOR = 864 * 864
 
 
 @dataclass(frozen=True)
@@ -107,14 +122,25 @@ def rr_chi_hk(c4: int, lam: Fraction) -> Fraction:
     return RRPolynomial.for_c4(c4).evaluate(lam)
 
 
+def _zero_chi_data(c4: int) -> tuple[int, int | None, set[Fraction]]:
+    """(N, s, roots) of the integer form: N = 864^2 * delta(c4), s = sqrt(N)
+    when N is a perfect square (else None), and the rational roots of chi = 0."""
+    u = 3024 - c4
+    n = u * (u - 2592)
+    s = int_sqrt_exact(n) if n >= 0 else None
+    if s is None or u == 0:
+        return n, s, set()
+    return n, s, {Fraction(2 * (s - u), u), Fraction(-2 * (s + u), u)}
+
+
 def delta(c4: int) -> Fraction:
     """Discriminant of rr_chi_hk as a quadratic in lambda:
 
-        (7/2 - c4/864)^2 - 12 (7/8 - c4/3456)
+        (7/2 - c4/864)^2 - 12 (7/8 - c4/3456) = (3024 - c4)(432 - c4) / 864^2
 
     chi = 0 has a rational solution only if this is a rational square.
     """
-    return RRPolynomial.for_c4(c4).discriminant()
+    return Fraction(_zero_chi_data(c4)[0], _DELTA_DENOMINATOR)
 
 
 def admits_zero_chi(c4: int) -> set[Fraction]:
@@ -124,20 +150,19 @@ def admits_zero_chi(c4: int) -> set[Fraction]:
     c4 = 3024 where both non-constant coefficients vanish and chi is the
     constant 3.
     """
-    return RRPolynomial.for_c4(c4).rational_roots()
+    return _zero_chi_data(c4)[2]
 
 
 def evaluate_candidate(b2: int, b3: int) -> CandidateRecord:
     """Run the full filter on one nonnegative (b2, b3) pair."""
     chern = chern_from_betti(b2, b3)
-    d = delta(chern.c4)
-    roots = admits_zero_chi(chern.c4)
+    n, s, roots = _zero_chi_data(chern.c4)
     return CandidateRecord(
         b2=b2,
         b3=b3,
         chern=chern,
-        delta=d,
-        delta_sqrt=rational_sqrt_exact(d),
+        delta=Fraction(n, _DELTA_DENOMINATOR),
+        delta_sqrt=None if s is None else Fraction(s, 864),
         lambda_roots=frozenset(roots),
         accepted=bool(roots),
     )

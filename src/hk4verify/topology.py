@@ -125,13 +125,12 @@ def chern_from_betti(b2: int, b3: int) -> ChernData:
     return ChernData(c2sq=736 + 4 * b2 - b3, c4=48 + 12 * b2 - 3 * b3)
 
 
-def betti_from_pair(b2: int, b3: int) -> BettiTable:
-    """Complete (b2, b3) to the full table of a hyperkahler 4-fold.
+def admissible_b4(b2: int, b3: int) -> int:
+    """The b4 that the Salamon relation b4 + b3 - 10*b2 = 46 forces on an
+    admissible (b2, b3) pair.
 
-    b4 is forced by the Salamon relation b4 + b3 - 10*b2 = 46, and the
-    remaining degrees follow from Poincare duality, simple connectedness and
-    b1 = 0.  Raises InadmissiblePairError when b3 is odd or b4 would be
-    negative.
+    Raises InadmissiblePairError when b2 or b3 is negative, b3 is odd, or the
+    forced b4 would be negative.
     """
     if b2 < 0 or b3 < 0:
         raise InadmissiblePairError(
@@ -144,6 +143,17 @@ def betti_from_pair(b2: int, b3: int) -> BettiTable:
         raise InadmissiblePairError(
             f"Salamon relation forces b4 = 46 + 10*{b2} - {b3} = {b4} < 0"
         )
+    return b4
+
+
+def betti_from_pair(b2: int, b3: int) -> BettiTable:
+    """Complete (b2, b3) to the full table of a hyperkahler 4-fold.
+
+    b4 comes from admissible_b4, and the remaining degrees follow from
+    Poincare duality, simple connectedness and b1 = 0.  Raises
+    InadmissiblePairError on the pairs admissible_b4 rejects.
+    """
+    b4 = admissible_b4(b2, b3)
     return BettiTable((1, 0, b2, b3, b4, b3, b2, 0, 1), strict_hk=True)
 
 

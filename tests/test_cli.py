@@ -141,6 +141,15 @@ def test_prove_rejects_bad_sweep_parameters(tmp_path, capsys):
     assert main(["prove", "--primes", "2;3", "--out", str(out)]) == 1
 
 
+def test_prove_rejects_empty_and_duplicate_primes(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["prove", "--primes", "", "--out", str(out)]) == 1
+    assert main(["prove", "--primes", "2,2", "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "at least one prime" in err and "duplicate" in err
+
+
 def test_prove_deterministic(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["prove", "--out", str(out1)]) == 0

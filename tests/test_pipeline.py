@@ -21,6 +21,7 @@ from hk4verify.pipeline import (
     table1,
     verify_certificate,
 )
+from hk4verify.topology import InadmissiblePairError, betti_from_pair
 
 FOUR_PAIRS = "b2,b3\n23,0\n7,8\n6,4\n5,0\n"
 
@@ -54,6 +55,18 @@ def test_parse_flags_duplicates():
     (dup,) = cf.invalid_rows()
     assert dup.line == 4
     assert "duplicate of line 2" in dup.error
+
+
+def test_parse_errors_match_betti_from_pair():
+    cf = parse_candidates("b2,b3\n5,3\n0,48\n-1,0\n23,0\n5,3\n23,0\n")
+    errors = {row.line: row.error for row in cf.invalid_rows()}
+    for line, pair in ((2, (5, 3)), (3, (0, 48)), (4, (-1, 0))):
+        with pytest.raises(InadmissiblePairError) as exc:
+            betti_from_pair(*pair)
+        assert errors[line] == str(exc.value)
+    assert errors[6] == "duplicate of line 2"
+    assert errors[7] == "duplicate of line 5"
+    assert cf.valid_pairs() == [(23, 0)]
 
 
 def test_parse_empty_data_section():
@@ -205,6 +218,14 @@ def test_prove_input_validation():
         prove(cf, primes=(4,), t_max=1)
     with pytest.raises(ValueError):
         prove(cf, primes=(2,), t_max=-1)
+
+
+def test_prove_rejects_empty_and_duplicate_primes():
+    cf = builtin_candidates()
+    with pytest.raises(ValueError, match="at least one prime"):
+        prove(cf, primes=(), t_max=0)
+    with pytest.raises(ValueError, match="duplicate"):
+        prove(cf, primes=(2, 3, 2), t_max=0)
 
 
 def test_verify_certificate_rejects_tampering():

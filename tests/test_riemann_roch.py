@@ -149,6 +149,73 @@ def test_square_delta_necessary_and_degenerate_converse():
     assert square_but_unsolvable == {3024}
 
 
+def _record_for_c4(c4):
+    """evaluate_candidate on a nonnegative pair with the given c4 (a multiple
+    of 3): 48 + 12*b2 - 3*b3 = c4 with b3 = 16 + 4*b2 - c4/3."""
+    k = c4 // 3
+    b2 = max(0, -(-(k - 16) // 4))
+    record = evaluate_candidate(b2, 16 + 4 * b2 - k)
+    assert record.chern.c4 == c4
+    return record
+
+
+def _assert_integer_core_matches_reference(c4):
+    poly = RRPolynomial.for_c4(c4)
+    d = delta(c4)
+    assert d == poly.discriminant()
+    assert admits_zero_chi(c4) == poly.rational_roots()
+    if c4 % 3 == 0:
+        record = _record_for_c4(c4)
+        assert record.delta == d
+        assert record.delta_sqrt == rational_sqrt_exact(d)
+        assert record.lambda_roots == poly.rational_roots()
+
+
+def test_integer_core_matches_rational_reference_on_range():
+    for c4 in range(-2000, 4001):
+        _assert_integer_core_matches_reference(c4)
+
+
+@given(st.integers(min_value=-10**6, max_value=10**6))
+def test_integer_core_matches_rational_reference_property(c4):
+    _assert_integer_core_matches_reference(c4)
+
+
+def test_integer_core_special_points():
+    # c4 = 3024: delta = 0 is a square, but chi is the constant 3
+    assert delta(3024) == 0
+    assert _record_for_c4(3024).delta_sqrt == 0
+    assert admits_zero_chi(3024) == set()
+    assert not _record_for_c4(3024).accepted
+    # c4 = 432: delta = 0 and chi = 3/4 (lambda + 2)^2, a double root
+    assert delta(432) == 0
+    assert admits_zero_chi(432) == {F(-2)}
+    assert _record_for_c4(432).lambda_roots == {F(-2)}
+    assert admits_zero_chi(324) == {F(-8, 5), F(-12, 5)}
+    assert _record_for_c4(324).delta_sqrt == F(5, 8)
+    assert admits_zero_chi(108) == {F(-4, 3), F(-8, 3)}
+    assert _record_for_c4(108).delta_sqrt == F(9, 8)
+    assert delta(0) == F(7, 4)
+    assert admits_zero_chi(0) == set()
+    assert _record_for_c4(0).delta_sqrt is None
+    for c4 in (3024, 432, 324, 108, 0):
+        _assert_integer_core_matches_reference(c4)
+
+
+def test_filter_over_admissible_region_b2_le_23():
+    pairs = [
+        (b2, b3) for b2 in range(24) for b3 in range(0, 46 + 10 * b2 + 1, 2)
+    ]
+    assert len(pairs) == 1956
+    accepted = [r for r in filter_candidates(pairs) if r.accepted]
+    assert len(accepted) == 49
+    by_c4 = defaultdict(int)
+    for record in accepted:
+        by_c4[record.chern.c4] += 1
+    assert by_c4 == {108: 19, -18: 24, -432: 5, 324: 1}
+    assert {(8, 12), (23, 72), (0, 22), (23, 0)} <= {(r.b2, r.b3) for r in accepted}
+
+
 def test_rr_polynomial_structure():
     poly = RRPolynomial.for_c4(324)
     assert poly.linear == F(25, 8)
