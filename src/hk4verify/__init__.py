@@ -10,123 +10,3 @@ pure, so everything here is safe to share across threads.
 """
 
 from ._version import __version__
-from .exact import (
-    IndeterminateEquationError,
-    Rational,
-    format_rational,
-    int_sqrt_exact,
-    normalize,
-    parse_rational,
-    rational_sqrt_exact,
-    solve_rational_quadratic,
-)
-from .topology import (
-    BettiTable,
-    ChernData,
-    InadmissiblePairError,
-    K3_SURFACE,
-    SurfaceKind,
-    SurfaceProfile,
-    TORUS_SURFACE,
-    betti_from_pair,
-    chern_from_betti,
-    euler_characteristic,
-    salamon_defect,
-)
-from .quotient import (
-    ExceptionalFiber,
-    FixedLocusProfile,
-    exceptional_betti,
-    is_prime,
-    lefschetz_euler_fixed,
-    mk_elimination_equation,
-    orbifold_salamon_defect,
-    solve_mk,
-    transport_betti,
-)
-from .riemann_roch import (
-    CandidateRecord,
-    RRPolynomial,
-    admits_zero_chi,
-    characteristic_value,
-    delta,
-    evaluate_candidate,
-    filter_candidates,
-    rr_chi_full,
-    rr_chi_hk,
-)
-from .pipeline import (
-    Branch,
-    CandidateFile,
-    CandidateFormatError,
-    CandidateRow,
-    Certificate,
-    DEFAULT_PRIMES,
-    DEFAULT_T_MAX,
-    VerificationError,
-    builtin_candidates,
-    emit_filter_report,
-    emit_report,
-    load_candidates,
-    parse_candidates,
-    prove,
-    table1,
-    verify_certificate,
-)
-
-__all__ = [
-    "__version__",
-    "Branch",
-    "BettiTable",
-    "CandidateFile",
-    "CandidateFormatError",
-    "CandidateRecord",
-    "CandidateRow",
-    "Certificate",
-    "ChernData",
-    "DEFAULT_PRIMES",
-    "DEFAULT_T_MAX",
-    "ExceptionalFiber",
-    "FixedLocusProfile",
-    "IndeterminateEquationError",
-    "InadmissiblePairError",
-    "K3_SURFACE",
-    "Rational",
-    "RRPolynomial",
-    "SurfaceKind",
-    "SurfaceProfile",
-    "TORUS_SURFACE",
-    "VerificationError",
-    "admits_zero_chi",
-    "betti_from_pair",
-    "builtin_candidates",
-    "characteristic_value",
-    "chern_from_betti",
-    "delta",
-    "emit_filter_report",
-    "emit_report",
-    "euler_characteristic",
-    "evaluate_candidate",
-    "exceptional_betti",
-    "filter_candidates",
-    "format_rational",
-    "int_sqrt_exact",
-    "is_prime",
-    "lefschetz_euler_fixed",
-    "load_candidates",
-    "mk_elimination_equation",
-    "normalize",
-    "orbifold_salamon_defect",
-    "parse_candidates",
-    "parse_rational",
-    "prove",
-    "rational_sqrt_exact",
-    "rr_chi_full",
-    "rr_chi_hk",
-    "salamon_defect",
-    "solve_mk",
-    "solve_rational_quadratic",
-    "table1",
-    "transport_betti",
-    "verify_certificate",
-]

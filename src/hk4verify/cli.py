@@ -10,11 +10,13 @@ import argparse
 import re
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from ._version import __version__
 from .exact import format_rational, parse_rational, rational_sqrt_exact
 from .pipeline import (
+    Branch,
     CandidateFile,
     DEFAULT_PRIMES,
     DEFAULT_T_MAX,
@@ -106,11 +108,11 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     Path(args.out).write_bytes(
         emit_report(certs, args.format, input_digest=cf.digest)
     )
-    mismatch = sum(1 for c in certs if c.branch.value == "LefschetzMismatch")
+    counts = Counter(c.branch for c in certs)
     print(
         f"contradicted {len(certs)} (candidate, prime, t) triples in "
-        f"{elapsed:.3f}s: LefschetzMismatch={mismatch}, "
-        f"Table1Exclusion={len(certs) - mismatch}"
+        f"{elapsed:.3f}s: "
+        + ", ".join(f"{branch.value}={counts[branch]}" for branch in Branch)
     )
     print(f"wrote {args.format} report to {args.out}")
     return 0

@@ -17,8 +17,6 @@ import math
 import re
 from fractions import Fraction
 
-Rational = Fraction
-
 
 class IndeterminateEquationError(ValueError):
     """Raised when a quadratic degenerates to 0 = 0.
@@ -26,14 +24,6 @@ class IndeterminateEquationError(ValueError):
     Every rational satisfies such an equation; no caller can consume an
     infinite root set, so this is an error rather than a sentinel.
     """
-
-
-def normalize(num: int, den: int) -> Fraction:
-    """Return num/den in canonical reduced form with positive denominator.
-
-    Raises ZeroDivisionError when den is zero.
-    """
-    return Fraction(num, den)
 
 
 def int_sqrt_exact(n: int) -> int | None:

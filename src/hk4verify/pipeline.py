@@ -175,7 +175,7 @@ def parse_candidates(
     rows: list[CandidateRow] = []
     seen: dict[tuple[int, int], int] = {}
     header_seen = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -386,6 +386,51 @@ def _json_value(value: object) -> object:
     raise TypeError(f"unexpected report value {value!r}")
 
 
+def _json_text(payload: object) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _md_row(cells: Iterable[object]) -> str:
+    return "| " + " | ".join(str(cell) for cell in cells) + " |"
+
+
+def _render_table(
+    fmt: str,
+    columns: Sequence[str],
+    rows: Iterable[Sequence[object]],
+    *,
+    titles: Sequence[str] | None = None,
+    text_columns: Sequence[str] = (),
+    preamble: Sequence[str] = (),
+) -> str:
+    """Render rows as csv, a Markdown table or a JSON list of row objects.
+
+    ``titles`` (header cells), ``text_columns`` (left-aligned; the rest are
+    right-aligned) and ``preamble`` (lines above the table) apply to
+    Markdown only.
+    """
+    fmt = {"md": "markdown"}.get(fmt, fmt)
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+        return buf.getvalue()
+    if fmt == "markdown":
+        titles = columns if titles is None else titles
+        rule = [
+            "-" * (len(title) + 2) if column in text_columns
+            else "-" * (len(title) + 1) + ":"
+            for column, title in zip(columns, titles)
+        ]
+        lines = [*preamble, _md_row(titles), "|" + "|".join(rule) + "|"]
+        lines += [_md_row(row) for row in rows]
+        return "\n".join(lines) + "\n"
+    if fmt == "json":
+        return _json_text([dict(zip(columns, row)) for row in rows])
+    raise ValueError(f"unsupported format: {fmt!r}")
+
+
 def _branch_counts(certs: Iterable[Certificate]) -> dict[str, int]:
     counts = {branch.value: 0 for branch in Branch}
     for cert in certs:
@@ -393,40 +438,25 @@ def _branch_counts(certs: Iterable[Certificate]) -> dict[str, int]:
     return counts
 
 
-_CSV_COLUMNS = [
-    "b2",
-    "b3",
-    "prime",
-    "t",
-    "branch",
-    "chi_top_X",
-    "c4_W",
-    "delta",
-    "lambda_roots",
-    "m",
-    "k",
-    "version",
-    "input_digest",
-]
+_CERT_COLUMNS = (
+    "b2", "b3", "prime", "t", "branch", "chi_top_X", "c4_W", "delta",
+    "lambda_roots", "m", "k",
+)
 
 
-def _flat_row(cert: Certificate) -> dict[str, object]:
+def _cert_row(cert: Certificate, no_roots: str = "") -> tuple[object, ...]:
+    """One certificate in _CERT_COLUMNS order; ``no_roots`` fills the
+    lambda_roots cell of a Table1Exclusion certificate with an empty root set."""
     details = cert.details
     exclusion = cert.branch is Branch.TABLE1_EXCLUSION
-    roots = details.get("lambda_roots", ())
-    return {
-        "b2": cert.candidate[0],
-        "b3": cert.candidate[1],
-        "prime": cert.prime,
-        "t": cert.t,
-        "branch": cert.branch.value,
-        "chi_top_X": details["chi_top_X"],
-        "c4_W": details["c4_W"] if exclusion else "",
-        "delta": format_rational(details["delta"]) if exclusion else "",
-        "lambda_roots": ";".join(format_rational(r) for r in roots),
-        "m": details["m"],
-        "k": details["k"],
-    }
+    roots = ";".join(format_rational(r) for r in details.get("lambda_roots", ()))
+    return (
+        *cert.candidate, cert.prime, cert.t, cert.branch.value, details["chi_top_X"],
+        details["c4_W"] if exclusion else "",
+        format_rational(details["delta"]) if exclusion else "",
+        roots or (no_roots if exclusion else ""),
+        details["m"], details["k"],
+    )
 
 
 def emit_report(
@@ -438,14 +468,12 @@ def emit_report(
     `p/q` strings; the tool version and the input-file digest are embedded.
     Identical inputs produce byte-identical output.
     """
-    fmt = {"md": "markdown"}.get(fmt, fmt)
     ordered = sorted(certs, key=Certificate.sort_key)
-    counts = _branch_counts(ordered)
     if fmt == "json":
         payload = {
             "version": __version__,
             "input_digest": input_digest,
-            "branch_counts": counts,
+            "branch_counts": _branch_counts(ordered),
             "certificates": [
                 {
                     "candidate": list(cert.candidate),
@@ -460,74 +488,50 @@ def emit_report(
                 for cert in ordered
             ],
         }
-        return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+        return _json_text(payload).encode("utf-8")
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        for cert in ordered:
-            row = _flat_row(cert)
-            row["version"] = __version__
-            row["input_digest"] = input_digest
-            writer.writerow(row)
-        return buf.getvalue().encode("utf-8")
-    if fmt == "markdown":
-        lines = [
-            "# Contradiction certificates",
-            "",
-            f"- version: {__version__}",
-            f"- input digest: {input_digest}",
-            f"- certificates: {len(ordered)} ("
-            + ", ".join(f"{name}: {count}" for name, count in sorted(counts.items()))
-            + ")",
-            "",
-            "| b2 | b3 | prime | t | branch | chi_top_X | c4_W | delta "
-            "| lambda_roots | m | k |",
-            "|---:|---:|------:|--:|--------|----------:|-----:|------:"
-            "|--------------|--:|--:|",
-        ]
-        for cert in ordered:
-            row = _flat_row(cert)
-            roots = row["lambda_roots"]
-            if cert.branch is Branch.TABLE1_EXCLUSION and not roots:
-                roots = "none"
-            lines.append(
-                f"| {row['b2']} | {row['b3']} | {row['prime']} | {row['t']} "
-                f"| {row['branch']} | {row['chi_top_X']} | {row['c4_W']} "
-                f"| {row['delta']} | {roots} | {row['m']} | {row['k']} |"
-            )
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    raise ValueError(f"unsupported report format: {fmt!r}")
+        text = _render_table(
+            fmt,
+            _CERT_COLUMNS + ("version", "input_digest"),
+            [_cert_row(cert) + (__version__, input_digest) for cert in ordered],
+        )
+        return text.encode("utf-8")
+    counts = _branch_counts(ordered)
+    preamble = [
+        "# Contradiction certificates",
+        "",
+        f"- version: {__version__}",
+        f"- input digest: {input_digest}",
+        f"- certificates: {len(ordered)} ("
+        + ", ".join(f"{name}: {count}" for name, count in sorted(counts.items()))
+        + ")",
+        "",
+    ]
+    text = _render_table(
+        fmt,
+        _CERT_COLUMNS,
+        [_cert_row(cert, no_roots="none") for cert in ordered],
+        text_columns=("branch", "lambda_roots"),
+        preamble=preamble,
+    )
+    return text.encode("utf-8")
 
 
 def table1(candidates: CandidateFile, fmt: str = "markdown") -> str:
     """Render the accepted candidates as a table (columns No., c2sq, c4,
     b2, b3) sorted by decreasing b2 then decreasing b3."""
-    fmt = {"md": "markdown"}.get(fmt, fmt)
     records = [r for r in filter_candidates(candidates.valid_pairs()) if r.accepted]
     records.sort(key=lambda r: (-r.b2, -r.b3))
     rows = [
         (no, r.chern.c2sq, r.chern.c4, r.b2, r.b3)
         for no, r in enumerate(records, start=1)
     ]
-    if fmt == "markdown":
-        lines = [
-            "| No. | c2sq | c4 | b2 | b3 |",
-            "|----:|-----:|---:|---:|---:|",
-        ]
-        lines += [f"| {n} | {c2sq} | {c4} | {b2} | {b3} |" for n, c2sq, c4, b2, b3 in rows]
-        return "\n".join(lines) + "\n"
-    if fmt == "csv":
-        lines = ["no,c2sq,c4,b2,b3"]
-        lines += [f"{n},{c2sq},{c4},{b2},{b3}" for n, c2sq, c4, b2, b3 in rows]
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        payload = [
-            {"no": n, "c2sq": c2sq, "c4": c4, "b2": b2, "b3": b3}
-            for n, c2sq, c4, b2, b3 in rows
-        ]
-        return json.dumps(payload, indent=2) + "\n"
-    raise ValueError(f"unsupported table format: {fmt!r}")
+    return _render_table(
+        fmt,
+        ("no", "c2sq", "c4", "b2", "b3"),
+        rows,
+        titles=("No.", "c2sq", "c4", "b2", "b3"),
+    )
 
 
 def emit_filter_report(candidates: CandidateFile) -> bytes:
@@ -546,7 +550,7 @@ def emit_filter_report(candidates: CandidateFile) -> bytes:
             for r in candidates.invalid_rows()
         ],
     }
-    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+    return _json_text(payload).encode("utf-8")
 
 
 def _record_json(record: CandidateRecord) -> dict[str, object]:

@@ -24,13 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .topology import (
-    BettiTable,
-    K3_SURFACE,
-    SurfaceProfile,
-    TORUS_SURFACE,
-    salamon_defect,
-)
+from .topology import BettiTable, K3_SURFACE, TORUS_SURFACE, salamon_defect
 
 
 def is_prime(n: int) -> bool:
@@ -61,38 +55,6 @@ class FixedLocusProfile:
         _require_prime(self.p)
         if self.m < 0 or self.k < 0 or self.t < 0:
             raise ValueError(f"component counts must be nonnegative: {self}")
-
-
-@dataclass(frozen=True)
-class ExceptionalFiber:
-    """Product of a fixed surface with a chain of chain_length rational
-    curves, the exceptional fiber over a codimension-2 stratum."""
-
-    surface: SurfaceProfile
-    chain_length: int
-
-    def __post_init__(self) -> None:
-        if self.chain_length < 1:
-            raise ValueError(f"chain length must be positive, got {self.chain_length}")
-
-    def chain_betti(self) -> tuple[int, int, int]:
-        # A connected chain of n rational curves: n fundamental classes in
-        # degree 2, no odd cohomology.
-        return (1, 0, self.chain_length)
-
-    def betti(self) -> BettiTable:
-        """Betti numbers of surface x chain via the Kuenneth formula."""
-        out = [0] * 9
-        for i, bs in enumerate(self.surface.full_betti()):
-            for j, bc in enumerate(self.chain_betti()):
-                out[i + j] += bs * bc
-        return BettiTable(tuple(out))
-
-
-def exceptional_betti(surface: SurfaceProfile, p: int) -> BettiTable:
-    """Betti table of S x C_p for a prime p (degrees 0..6, zeros above)."""
-    _require_prime(p)
-    return ExceptionalFiber(surface, p - 1).betti()
 
 
 def transport_betti(bY: BettiTable, profile: FixedLocusProfile) -> BettiTable:

@@ -24,7 +24,8 @@ square s^2 (s = isqrt(N), N >= 0); then sqrt(delta) = s/864 and, for u != 0,
 the roots of chi = 0 are 2(s - u)/u and -2(s + u)/u.  At u = 0 (c4 = 3024)
 N = 0 is a square but chi is the constant 3, so there are no roots.  The
 filter runs on these integers; Fraction is built only for the values a
-record carries.  RRPolynomial keeps the rational quadratic for evaluation.
+record carries.  In the same terms chi = 3 + u * lambda * (lambda + 4) / 3456
+(rr_chi_hk).
 """
 
 from __future__ import annotations
@@ -32,50 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import int_sqrt_exact, solve_rational_quadratic
+from .exact import int_sqrt_exact
 from .topology import ChernData, chern_from_betti
-
-#: chi(W, O) of a compact hyperkahler 4-fold, equal to 2160/720.
-CHI_TRIVIAL_BUNDLE = Fraction(3)
 
 #: 864^2, the denominator of delta over its integer numerator N.
 _DELTA_DENOMINATOR = 864 * 864
-
-
-@dataclass(frozen=True)
-class RRPolynomial:
-    """chi as a polynomial constant + linear*x + quadratic*x^2 in the
-    characteristic value, specialized to a hyperkahler 4-fold."""
-
-    constant: Fraction
-    linear: Fraction
-    quadratic: Fraction
-
-    def __post_init__(self) -> None:
-        if self.constant != CHI_TRIVIAL_BUNDLE:
-            raise ValueError(
-                f"constant term must be {CHI_TRIVIAL_BUNDLE} on a hyperkahler "
-                f"4-fold, got {self.constant}"
-            )
-
-    @classmethod
-    def for_c4(cls, c4: int) -> "RRPolynomial":
-        return cls(
-            constant=CHI_TRIVIAL_BUNDLE,
-            linear=Fraction(7, 2) - Fraction(c4, 864),
-            quadratic=Fraction(7, 8) - Fraction(c4, 3456),
-        )
-
-    def evaluate(self, x: Fraction) -> Fraction:
-        return self.constant + self.linear * x + self.quadratic * x * x
-
-    def discriminant(self) -> Fraction:
-        """linear^2 - 4 * quadratic * constant, the usual quadratic
-        discriminant (constant = 3, hence the factor 12)."""
-        return self.linear * self.linear - 12 * self.quadratic
-
-    def rational_roots(self) -> set[Fraction]:
-        return solve_rational_quadratic(self.quadratic, self.linear, self.constant)
 
 
 @dataclass(frozen=True)
@@ -97,29 +59,13 @@ class CandidateRecord:
             raise ValueError("delta_sqrt does not square to delta")
 
 
-def characteristic_value(exp_integral: Fraction, c2_exp_integral: Fraction) -> Fraction:
-    """48 * int(exp L) / int(c2 exp L), or 0 when the ratio is undefined."""
-    if c2_exp_integral == 0:
-        return Fraction(0)
-    return 48 * exp_integral / c2_exp_integral
-
-
-def rr_chi_full(c2sq: int, c4: int, chi_o: Fraction, lam: Fraction) -> Fraction:
-    """chi(W, L) from both Chern numbers, chi(W, O) and the characteristic
-    value, with no hyperkahler constraint assumed."""
-    linear = (Fraction(7, 2) * c2sq - 2 * c4) / 720
-    quadratic = (Fraction(7, 8) * c2sq - Fraction(1, 2) * c4) / 720
-    return chi_o + linear * lam + quadratic * lam * lam
-
-
 def rr_chi_hk(c4: int, lam: Fraction) -> Fraction:
     """chi(W, L) on a hyperkahler 4-fold:
 
         3 + (7/2 - c4/864) lambda + (7/8 - c4/3456) lambda^2
-
-    Agrees with rr_chi_full whenever 3*c2sq - c4 = 2160 and chi(W, O) = 3.
+          = 3 + (3024 - c4) lambda (lambda + 4) / 3456
     """
-    return RRPolynomial.for_c4(c4).evaluate(lam)
+    return 3 + Fraction(3024 - c4, 3456) * lam * (lam + 4)
 
 
 def _zero_chi_data(c4: int) -> tuple[int, int | None, set[Fraction]]:

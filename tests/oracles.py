@@ -1,0 +1,92 @@
+"""Independent reference implementations the tests compare the package
+against: the Riemann-Roch quadratic in its rational and fully general forms,
+and the Kuenneth product behind the Betti transport."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from hk4verify.exact import solve_rational_quadratic
+from hk4verify.quotient import is_prime
+from hk4verify.topology import BettiTable, SurfaceProfile
+
+#: chi(W, O) of a compact hyperkahler 4-fold, equal to 2160/720.
+CHI_TRIVIAL_BUNDLE = Fraction(3)
+
+
+@dataclass(frozen=True)
+class RRPolynomial:
+    """chi as a polynomial constant + linear*x + quadratic*x^2 in the
+    characteristic value, specialized to a hyperkahler 4-fold."""
+
+    constant: Fraction
+    linear: Fraction
+    quadratic: Fraction
+
+    def __post_init__(self) -> None:
+        if self.constant != CHI_TRIVIAL_BUNDLE:
+            raise ValueError(
+                f"constant term must be {CHI_TRIVIAL_BUNDLE} on a hyperkahler "
+                f"4-fold, got {self.constant}"
+            )
+
+    @classmethod
+    def for_c4(cls, c4: int) -> "RRPolynomial":
+        return cls(
+            constant=CHI_TRIVIAL_BUNDLE,
+            linear=Fraction(7, 2) - Fraction(c4, 864),
+            quadratic=Fraction(7, 8) - Fraction(c4, 3456),
+        )
+
+    def evaluate(self, x: Fraction) -> Fraction:
+        return self.constant + self.linear * x + self.quadratic * x * x
+
+    def discriminant(self) -> Fraction:
+        """linear^2 - 4 * quadratic * constant, the usual quadratic
+        discriminant (constant = 3, hence the factor 12)."""
+        return self.linear * self.linear - 12 * self.quadratic
+
+    def rational_roots(self) -> set[Fraction]:
+        return solve_rational_quadratic(self.quadratic, self.linear, self.constant)
+
+
+def rr_chi_full(c2sq: int, c4: int, chi_o: Fraction, lam: Fraction) -> Fraction:
+    """chi(W, L) from both Chern numbers, chi(W, O) and the characteristic
+    value, with no hyperkahler constraint assumed."""
+    linear = (Fraction(7, 2) * c2sq - 2 * c4) / 720
+    quadratic = (Fraction(7, 8) * c2sq - Fraction(1, 2) * c4) / 720
+    return chi_o + linear * lam + quadratic * lam * lam
+
+
+@dataclass(frozen=True)
+class ExceptionalFiber:
+    """Product of a fixed surface with a chain of chain_length rational
+    curves, the exceptional fiber over a codimension-2 stratum."""
+
+    surface: SurfaceProfile
+    chain_length: int
+
+    def __post_init__(self) -> None:
+        if self.chain_length < 1:
+            raise ValueError(f"chain length must be positive, got {self.chain_length}")
+
+    def chain_betti(self) -> tuple[int, int, int]:
+        # A connected chain of n rational curves: n fundamental classes in
+        # degree 2, no odd cohomology.
+        return (1, 0, self.chain_length)
+
+    def betti(self) -> BettiTable:
+        """Betti numbers of surface x chain via the Kuenneth formula."""
+        out = [0] * 9
+        for i, bs in enumerate(self.surface.full_betti()):
+            for j, bc in enumerate(self.chain_betti()):
+                out[i + j] += bs * bc
+        return BettiTable(tuple(out))
+
+
+def exceptional_betti(surface: SurfaceProfile, p: int) -> BettiTable:
+    """Betti table of S x C_p for a prime p (degrees 0..6, zeros above)."""
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    return ExceptionalFiber(surface, p - 1).betti()

@@ -26,13 +26,14 @@ from hk4verify.quotient import (
     solve_mk,
     transport_betti,
 )
-from hk4verify.riemann_roch import admits_zero_chi, delta, rr_chi_full, rr_chi_hk
+from hk4verify.riemann_roch import admits_zero_chi, delta, rr_chi_hk
 from hk4verify.topology import (
     betti_from_pair,
     chern_from_betti,
     euler_characteristic,
     salamon_defect,
 )
+from oracles import rr_chi_full
 
 FOUR_PAIRS = "b2,b3\n23,0\n7,8\n6,4\n5,0\n"
 

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction as F
 
 import pytest
@@ -9,37 +8,10 @@ from hk4verify.exact import (
     IndeterminateEquationError,
     format_rational,
     int_sqrt_exact,
-    normalize,
     parse_rational,
     rational_sqrt_exact,
     solve_rational_quadratic,
 )
-
-
-def test_normalize_examples():
-    assert normalize(6, -4) == F(-3, 2)
-    assert normalize(0, 5) == F(0, 1)
-    assert normalize(746496, 864**2) == F(1, 1)
-
-
-def test_normalize_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        normalize(1, 0)
-
-
-@given(st.integers(), st.integers().filter(lambda d: d != 0))
-def test_normalize_canonical_form(num, den):
-    q = normalize(num, den)
-    assert q.denominator > 0
-    assert math.gcd(abs(q.numerator), q.denominator) == 1
-    assert q * den == num
-
-
-@given(st.fractions(), st.fractions())
-def test_arithmetic_stays_canonical(a, b):
-    for r in (a + b, a - b, a * b) + ((a / b,) if b != 0 else ()):
-        assert r.denominator > 0
-        assert math.gcd(abs(r.numerator), r.denominator) == 1
 
 
 def test_int_sqrt_examples():

@@ -82,6 +82,13 @@ def test_parse_comments_blank_lines_crlf():
     assert cf.provenance == "source: transcription\nsecond line"
 
 
+def test_parse_splits_lines_on_lf_only():
+    # \x0c (and the other splitlines() boundaries) is not a line break, so
+    # the row below is malformed instead of two rows with shifted numbers
+    with pytest.raises(CandidateFormatError, match=r":2: expected two"):
+        parse_candidates("b2,b3\n4,32\x0c5,0\n4,32\n")
+
+
 def test_parse_header_errors():
     with pytest.raises(CandidateFormatError):
         parse_candidates("23,0\n")
@@ -316,6 +323,49 @@ def test_emit_report_markdown_mentions_version_and_digest():
     assert f"- version: {__version__}" in text
     assert cf.digest in text
     assert "| 4 | 32 | 2 | 0 | Table1Exclusion | 0 | 0 | 7/4 | none | 0 | 0 |" in text
+
+
+def test_emit_report_csv_full_text():
+    certs, cf = _certs_mixed()
+    tail = f"0,0,{__version__},{cf.digest}\n"
+    assert emit_report(certs, "csv", input_digest=cf.digest).decode() == (
+        "b2,b3,prime,t,branch,chi_top_X,c4_W,delta,lambda_roots,m,k,"
+        "version,input_digest\n"
+        + "".join(
+            f"4,32,{p},{t},Table1Exclusion,0,0,7/4,," + tail
+            for p in (2, 3) for t in (0, 1)
+        )
+        + "".join(
+            f"23,0,{p},{t},LefschetzMismatch,324,,,," + tail
+            for p in (2, 3) for t in (0, 1)
+        )
+    )
+
+
+def test_emit_report_markdown_full_text():
+    certs, cf = _certs_mixed()
+    expected = (
+        "# Contradiction certificates\n"
+        "\n"
+        f"- version: {__version__}\n"
+        f"- input digest: {cf.digest}\n"
+        "- certificates: 8 (LefschetzMismatch: 4, Table1Exclusion: 4)\n"
+        "\n"
+        "| b2 | b3 | prime | t | branch | chi_top_X | c4_W | delta "
+        "| lambda_roots | m | k |\n"
+        "|---:|---:|------:|--:|--------|----------:|-----:|------:"
+        "|--------------|--:|--:|\n"
+        + "".join(
+            f"| 4 | 32 | {p} | {t} | Table1Exclusion | 0 | 0 | 7/4 | none | 0 | 0 |\n"
+            for p in (2, 3) for t in (0, 1)
+        )
+        + "".join(
+            f"| 23 | 0 | {p} | {t} | LefschetzMismatch | 324 |  |  |  | 0 | 0 |\n"
+            for p in (2, 3) for t in (0, 1)
+        )
+    )
+    for fmt in ("md", "markdown"):
+        assert emit_report(certs, fmt, input_digest=cf.digest).decode() == expected
 
 
 def test_emit_report_unsupported_format():

@@ -1,9 +1,7 @@
 import pytest
 
 from hk4verify.quotient import (
-    ExceptionalFiber,
     FixedLocusProfile,
-    exceptional_betti,
     is_prime,
     lefschetz_euler_fixed,
     mk_elimination_equation,
@@ -19,6 +17,7 @@ from hk4verify.topology import (
     euler_characteristic,
     salamon_defect,
 )
+from oracles import ExceptionalFiber, exceptional_betti
 
 PRIMES = (2, 3, 5, 7, 11)
 PAIRS = [(23, 0), (7, 8), (6, 4), (5, 0), (4, 32), (0, 0)]
@@ -63,6 +62,26 @@ def test_exceptional_difference_identity():
             shifted = (0, 0) + surface.full_betti() + (0, 0)
             for j in range(9):
                 assert product[j] - s[j] == (p - 1) * shifted[j]
+
+
+def _kuenneth_increment(surface, p):
+    """b_j(S x C_p) - b_j(S) from the Kuenneth oracle."""
+    product = exceptional_betti(surface, p).b
+    return [e - s for e, s in zip(product, BettiTable(surface.full_betti()).b)]
+
+
+def test_transport_matches_kuenneth_oracle():
+    for p in PRIMES:
+        k3 = _kuenneth_increment(K3_SURFACE, p)
+        torus = _kuenneth_increment(TORUS_SURFACE, p)
+        for b2, b3 in PAIRS:
+            bY = betti_from_pair(b2, b3)
+            for k in range(4):
+                for t in range(4):
+                    bW = transport_betti(bY, FixedLocusProfile(p=p, m=0, k=k, t=t))
+                    assert [w - y for w, y in zip(bW.b, bY.b)] == [
+                        k * a + t * b for a, b in zip(k3, torus)
+                    ]
 
 
 def test_transport_k3_component_order2():

@@ -9,23 +9,14 @@ from hypothesis import strategies as st
 from hk4verify.exact import rational_sqrt_exact
 from hk4verify.riemann_roch import (
     CandidateRecord,
-    RRPolynomial,
     admits_zero_chi,
-    characteristic_value,
     delta,
     evaluate_candidate,
     filter_candidates,
-    rr_chi_full,
     rr_chi_hk,
 )
 from hk4verify.topology import chern_from_betti
-
-
-def test_characteristic_value():
-    assert characteristic_value(F(1), F(48)) == F(1)
-    assert characteristic_value(F(0), F(5)) == F(0)
-    assert characteristic_value(F(3), F(0)) == F(0)  # undefined ratio falls back to 0
-    assert characteristic_value(F(3, 2), F(6)) == F(12)
+from oracles import RRPolynomial, rr_chi_full
 
 
 def test_rr_chi_full_values():
@@ -39,6 +30,14 @@ def test_rr_chi_hk_values():
     assert rr_chi_hk(108, F(1)) == F(231, 32)
     for lam in (F(0), F(1), F(-5, 7), F(100)):
         assert rr_chi_hk(3024, lam) == F(3)
+
+
+def test_rr_chi_hk_matches_rational_reference_on_grid():
+    lambdas = [F(n, d) for n in range(-30, 31, 3) for d in (1, 2, 5, 7, 12)]
+    for c4 in list(range(-1500, 4001, 37)) + [0, 108, 324, 432, 3024]:
+        poly = RRPolynomial.for_c4(c4)
+        for lam in lambdas:
+            assert rr_chi_hk(c4, lam) == poly.evaluate(lam)
 
 
 def test_delta_values():
