@@ -72,7 +72,7 @@ def _parse_primes(text: str) -> tuple[int, ...]:
 
 
 def _candidates(args: argparse.Namespace) -> CandidateFile:
-    if getattr(args, "candidates", None) is None:
+    if args.candidates is None:
         return builtin_candidates()
     return load_candidates(args.candidates)
 
@@ -86,14 +86,14 @@ def _warn_invalid(cf: CandidateFile) -> None:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    cf = load_candidates(args.candidates)
+    cf = _candidates(args)
     _warn_invalid(cf)
     sys.stdout.write(table1(cf, args.format))
     return 0
 
 
 def _cmd_filter(args: argparse.Namespace) -> int:
-    cf = load_candidates(args.candidates)
+    cf = _candidates(args)
     Path(args.out).write_bytes(emit_filter_report(cf))
     print(f"wrote filter report for {len(cf.rows)} rows to {args.out}")
     return 0
@@ -149,6 +149,9 @@ def _cmd_transport(args: argparse.Namespace) -> int:
     return 0
 
 
+_CANDIDATES_HELP = "candidate file (built-in fixture when omitted)"
+
+
 def build_parser() -> _Parser:
     parser = _Parser(
         prog="hk4verify",
@@ -163,7 +166,7 @@ def build_parser() -> _Parser:
     p_table = sub.add_parser(
         "table1", help="render the accepted (c2sq, c4, b2, b3) rows"
     )
-    p_table.add_argument("--candidates", required=True, help="candidate file")
+    p_table.add_argument("--candidates", help=_CANDIDATES_HELP)
     p_table.add_argument(
         "--format", choices=("md", "csv", "json"), default="md"
     )
@@ -172,16 +175,14 @@ def build_parser() -> _Parser:
     p_filter = sub.add_parser(
         "filter", help="write the full per-candidate filter report (JSON)"
     )
-    p_filter.add_argument("--candidates", required=True, help="candidate file")
+    p_filter.add_argument("--candidates", help=_CANDIDATES_HELP)
     p_filter.add_argument("--out", required=True, help="output path")
     p_filter.set_defaults(func=_cmd_filter)
 
     p_prove = sub.add_parser(
         "prove", help="replay the contradiction for every (candidate, p, t)"
     )
-    p_prove.add_argument(
-        "--candidates", help="candidate file (built-in fixture when omitted)"
-    )
+    p_prove.add_argument("--candidates", help=_CANDIDATES_HELP)
     p_prove.add_argument(
         "--primes",
         type=_parse_primes,

@@ -1,4 +1,4 @@
-"""Exact rational arithmetic: perfect-square detection and quadratic solving.
+"""Exact rational arithmetic: perfect-square detection and the `p/q` text form.
 
 Every quantity the verification pipeline touches is an arbitrary-precision
 integer or a reduced fraction of such integers.  Rationals are represented by
@@ -16,14 +16,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-
-
-class IndeterminateEquationError(ValueError):
-    """Raised when a quadratic degenerates to 0 = 0.
-
-    Every rational satisfies such an equation; no caller can consume an
-    infinite root set, so this is an error rather than a sentinel.
-    """
 
 
 def int_sqrt_exact(n: int) -> int | None:
@@ -53,32 +45,6 @@ def rational_sqrt_exact(q: Fraction) -> Fraction | None:
     if den is None:
         return None
     return Fraction(num, den)
-
-
-def solve_rational_quadratic(
-    a: Fraction, b: Fraction, c: Fraction
-) -> set[Fraction]:
-    """Return exactly the set of rational x with a*x**2 + b*x + c == 0.
-
-    Degenerate cases: a == 0, b != 0 gives the single linear root {-c/b};
-    a == b == 0 with c != 0 has no solutions; a == b == c == 0 raises
-    IndeterminateEquationError.  For a != 0 the root set is nonempty iff the
-    discriminant b**2 - 4ac has a rational square root, and every returned
-    root satisfies the equation exactly.
-    """
-    if a == 0:
-        if b == 0:
-            if c == 0:
-                raise IndeterminateEquationError(
-                    "all coefficients vanish: every rational is a solution"
-                )
-            return set()
-        return {-c / b}
-    disc = b * b - 4 * a * c
-    root = rational_sqrt_exact(disc)
-    if root is None:
-        return set()
-    return {(-b + root) / (2 * a), (-b - root) / (2 * a)}
 
 
 # Text format shared by the CLI and all reports: `p/q` with an optional sign

@@ -5,10 +5,11 @@ Candidate file format
 UTF-8 text, LF or CRLF line endings.  Comment lines start with ``#`` (the
 leading comment block is kept as free-text provenance), the first
 non-comment line must be the header ``b2,b3``, and every following line
-holds two comma-separated nonnegative integers.  Structurally malformed
+holds two comma-separated integers.  Spaces and tabs around a field are
+ignored; any other whitespace in a line is an error.  Structurally malformed
 input (bad header, non-integer fields) is an error; rows that parse but are
-inadmissible (odd b3, negative forced b4, duplicates) are retained with an
-error annotation rather than silently dropped.
+inadmissible (negative values, odd b3, negative forced b4, duplicates) are
+retained with an error annotation rather than silently dropped.
 
 The contradiction pipeline
 --------------------------
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ._version import __version__
 from .exact import format_rational, rational_sqrt_exact
@@ -54,7 +55,13 @@ from .quotient import (
     solve_mk,
     transport_betti,
 )
-from .riemann_roch import CandidateRecord, admits_zero_chi, delta, filter_candidates
+from .riemann_roch import (
+    CandidateRecord,
+    admits_zero_chi,
+    delta,
+    evaluate_candidate,
+    filter_candidates,
+)
 from .topology import (
     InadmissiblePairError,
     admissible_b4,
@@ -152,6 +159,10 @@ _HYPOTHESES_EXCLUSION = _HYPOTHESES_COMMON + (
 
 _INT_RE = re.compile(r"\A[+-]?[0-9]+\Z")
 
+#: The only whitespace a line or a field may carry around its text; the "\r"
+#: of a CRLF line ending is dropped first.
+_BLANKS = " \t"
+
 #: Pairs accepted by the rational-square filter; the default prove fixture.
 TABLE1_FIXTURE = """\
 # Betti pairs (b2, b3) of compact hyperkahler 4-folds that pass the
@@ -176,14 +187,14 @@ def parse_candidates(
     seen: dict[tuple[int, int], int] = {}
     header_seen = False
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
+        line = raw.removesuffix("\r").strip(_BLANKS)
         if not line:
             continue
         if line.startswith("#"):
             if not header_seen:
-                provenance.append(line.lstrip("#").strip())
+                provenance.append(line.lstrip("#").strip(_BLANKS))
             continue
-        tokens = [tok.strip() for tok in line.split(",")]
+        tokens = [tok.strip(_BLANKS) for tok in line.split(",")]
         if not header_seen:
             if tokens != ["b2", "b3"]:
                 raise CandidateFormatError(
@@ -375,19 +386,104 @@ def verify_certificate(cert: Certificate) -> None:
 
 # ---------------------------------------------------------------------------
 # Reports
+#
+# JSON text is written here rather than by json.dumps: the reports are laid
+# out exactly as json.dumps(value, indent=2) lays them out, but any indent
+# makes json.dumps use its pure-Python encoder, which walks every row.  Rows
+# are filled into fixed templates instead, and blocks that repeat between
+# rows are rendered once per report.
 
-def _json_value(value: object) -> object:
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_scalar(value: object) -> str:
+    """JSON text of a leaf; a Fraction is written as the string "p/q"."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, str):
+        return _json_str(value)
     if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, tuple):
-        return [_json_value(v) for v in value]
-    if value is None or isinstance(value, (int, str)):
-        return value
+        return _json_str(format_rational(value))
     raise TypeError(f"unexpected report value {value!r}")
 
 
-def _json_text(payload: object) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _json_block(value: object, indent: str = "") -> str:
+    """JSON text of ``value`` as json.dumps(indent=2) writes it when the
+    value's first line sits at ``indent``; tuples are arrays."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{_json_str(k)}: {_json_block(v, inner)}" for k, v in value.items()]
+        opener, closer = "{", "}"
+    elif isinstance(value, (list, tuple)):
+        items = [_json_block(v, inner) for v in value]
+        opener, closer = "[", "]"
+    else:
+        return _json_scalar(value)
+    if not items:
+        return opener + closer
+    sep = "\n" + inner
+    return f"{opener}{sep}{(',' + sep).join(items)}\n{indent}{closer}"
+
+
+class _Rows(list):
+    """The items of an array under a top-level report key, each already
+    rendered as ASCII bytes indented for that place."""
+
+
+def _json_document(fields: dict[str, object]) -> bytes:
+    """``json.dumps(fields, indent=2) + "\\n"`` as bytes, for a nonempty
+    ``fields``.  The report is joined once: _Rows items go in as they are."""
+    parts = [b"{\n  "]
+    for key, value in fields.items():
+        parts.append(f"{_json_str(key)}: ".encode())
+        if isinstance(value, _Rows) and value:
+            rows = [b",\n    "] * (2 * len(value) - 1)
+            rows[::2] = value
+            parts.append(b"[\n    ")
+            parts += rows
+            parts.append(b"\n  ]")
+        else:
+            parts.append(_json_block(value, "  ").encode())
+        parts.append(b",\n  ")
+    parts[-1] = b"\n}\n"
+    return b"".join(parts)
+
+
+#: Leaf types whose equal values are always written alike.
+_EXACT_LEAVES = frozenset({str, int, bool, type(None), Fraction})
+
+
+def _memo_key(value: object) -> object:
+    """Hashable key of a report value that keeps apart values that compare
+    equal but are written differently, such as 1, True and Fraction(1)."""
+    if isinstance(value, dict):
+        return (dict, tuple(value), _memo_key(tuple(value.values())))
+    if isinstance(value, (list, tuple)):
+        types = tuple(map(type, value))
+        if _EXACT_LEAVES.issuperset(types):
+            return (list, types, tuple(value))
+        return (list, tuple(map(_memo_key, value)))
+    return (value.__class__, value)
+
+
+def _shared_blocks(indent: str) -> Callable[[object], str]:
+    """_json_block at ``indent``, rendering each distinct value once."""
+    memo: dict[object, str] = {}
+
+    def render(value: object) -> str:
+        key = _memo_key(value)
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = _json_block(value, indent)
+        return text
+
+    return render
 
 
 def _md_row(cells: Iterable[object]) -> str:
@@ -427,7 +523,7 @@ def _render_table(
         lines += [_md_row(row) for row in rows]
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        return _json_text([dict(zip(columns, row)) for row in rows])
+        return _json_block([dict(zip(columns, row)) for row in rows]) + "\n"
     raise ValueError(f"unsupported format: {fmt!r}")
 
 
@@ -459,6 +555,31 @@ def _cert_row(cert: Certificate, no_roots: str = "") -> tuple[object, ...]:
     )
 
 
+#: One certificate, an item of the report's "certificates" array.
+_CERT_JSON = (
+    "{{\n"
+    '      "candidate": [\n'
+    "        {},\n"
+    "        {}\n"
+    "      ],\n"
+    '      "prime": {},\n'
+    '      "t": {},\n'
+    '      "branch": {},\n'
+    '      "details": {},\n'
+    '      "hypotheses": {}\n'
+    "    }}"
+).format
+
+
+def _cert_json(cert: Certificate, shared: Callable[[object], str]) -> bytes:
+    b2, b3 = cert.candidate
+    return _CERT_JSON(
+        _json_scalar(b2), _json_scalar(b3), _json_scalar(cert.prime),
+        _json_scalar(cert.t), _json_str(cert.branch.value),
+        shared(cert.details), shared(cert.hypotheses),
+    ).encode()
+
+
 def emit_report(
     certs: Sequence[Certificate], fmt: str = "json", *, input_digest: str = ""
 ) -> bytes:
@@ -470,25 +591,14 @@ def emit_report(
     """
     ordered = sorted(certs, key=Certificate.sort_key)
     if fmt == "json":
+        shared = _shared_blocks("      ")
         payload = {
             "version": __version__,
             "input_digest": input_digest,
             "branch_counts": _branch_counts(ordered),
-            "certificates": [
-                {
-                    "candidate": list(cert.candidate),
-                    "prime": cert.prime,
-                    "t": cert.t,
-                    "branch": cert.branch.value,
-                    "details": {
-                        key: _json_value(val) for key, val in cert.details.items()
-                    },
-                    "hypotheses": list(cert.hypotheses),
-                }
-                for cert in ordered
-            ],
+            "certificates": _Rows(_cert_json(c, shared) for c in ordered),
         }
-        return _json_text(payload).encode("utf-8")
+        return _json_document(payload)
     if fmt == "csv":
         text = _render_table(
             fmt,
@@ -534,9 +644,40 @@ def table1(candidates: CandidateFile, fmt: str = "markdown") -> str:
     )
 
 
+#: One filter record, an item of the report's "records" array.  Every field
+#: after b3 is a function of the Chern numbers, so that tail is rendered once
+#: per distinct (c2sq, c4) in a report.
+_RECORD_JSON = '{{\n      "b2": {},\n      "b3": {},\n{}'.format
+_RECORD_TAIL_JSON = (
+    '      "c2sq": {},\n'
+    '      "c4": {},\n'
+    '      "delta": {},\n'
+    '      "delta_sqrt": {},\n'
+    '      "lambda_roots": {},\n'
+    '      "accepted": {}\n'
+    "    }}"
+).format
+
+
+def _record_rows(records: Iterable[CandidateRecord]) -> _Rows:
+    tails: dict[tuple[int, int], str] = {}
+    rows = _Rows()
+    for r in records:
+        chern = (r.chern.c2sq, r.chern.c4)
+        tail = tails.get(chern)
+        if tail is None:
+            tail = tails[chern] = _RECORD_TAIL_JSON(
+                *map(_json_scalar, chern), _json_scalar(r.delta),
+                _json_scalar(r.delta_sqrt),
+                _json_block(sorted(r.lambda_roots), "      "),
+                _json_scalar(r.accepted),
+            )
+        rows.append(_RECORD_JSON(_json_scalar(r.b2), _json_scalar(r.b3), tail).encode())
+    return rows
+
+
 def emit_filter_report(candidates: CandidateFile) -> bytes:
     """Full per-candidate filter outcomes, valid and flagged rows alike."""
-    records = filter_candidates(candidates.valid_pairs())
     payload = {
         "version": __version__,
         "input_digest": candidates.digest,
@@ -544,25 +685,12 @@ def emit_filter_report(candidates: CandidateFile) -> bytes:
             "accepted flags below are computed for the supplied candidate "
             "list by this tool; they are not an externally attested table"
         ),
-        "records": [_record_json(r) for r in records],
+        "records": _record_rows(
+            evaluate_candidate(b2, b3) for b2, b3 in candidates.valid_pairs()
+        ),
         "invalid_rows": [
             {"line": r.line, "b2": r.b2, "b3": r.b3, "error": r.error}
             for r in candidates.invalid_rows()
         ],
     }
-    return _json_text(payload).encode("utf-8")
-
-
-def _record_json(record: CandidateRecord) -> dict[str, object]:
-    return {
-        "b2": record.b2,
-        "b3": record.b3,
-        "c2sq": record.chern.c2sq,
-        "c4": record.chern.c4,
-        "delta": format_rational(record.delta),
-        "delta_sqrt": (
-            None if record.delta_sqrt is None else format_rational(record.delta_sqrt)
-        ),
-        "lambda_roots": [format_rational(r) for r in sorted(record.lambda_roots)],
-        "accepted": record.accepted,
-    }
+    return _json_document(payload)

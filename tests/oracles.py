@@ -1,15 +1,51 @@
 """Independent reference implementations the tests compare the package
-against: the Riemann-Roch quadratic in its rational and fully general forms,
-and the Kuenneth product behind the Betti transport."""
+against: a rational quadratic solver, the Riemann-Roch quadratic in its
+rational and fully general forms, and the Kuenneth product behind the Betti
+transport."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from hk4verify.exact import solve_rational_quadratic
+from hk4verify.exact import rational_sqrt_exact
 from hk4verify.quotient import is_prime
 from hk4verify.topology import BettiTable, SurfaceProfile
+
+
+class IndeterminateEquationError(ValueError):
+    """Raised when a quadratic degenerates to 0 = 0.
+
+    Every rational satisfies such an equation; no caller can consume an
+    infinite root set, so this is an error rather than a sentinel.
+    """
+
+
+def solve_rational_quadratic(
+    a: Fraction, b: Fraction, c: Fraction
+) -> set[Fraction]:
+    """Return exactly the set of rational x with a*x**2 + b*x + c == 0.
+
+    Degenerate cases: a == 0, b != 0 gives the single linear root {-c/b};
+    a == b == 0 with c != 0 has no solutions; a == b == c == 0 raises
+    IndeterminateEquationError.  For a != 0 the root set is nonempty iff the
+    discriminant b**2 - 4ac has a rational square root, and every returned
+    root satisfies the equation exactly.
+    """
+    if a == 0:
+        if b == 0:
+            if c == 0:
+                raise IndeterminateEquationError(
+                    "all coefficients vanish: every rational is a solution"
+                )
+            return set()
+        return {-c / b}
+    disc = b * b - 4 * a * c
+    root = rational_sqrt_exact(disc)
+    if root is None:
+        return set()
+    return {(-b + root) / (2 * a), (-b - root) / (2 * a)}
+
 
 #: chi(W, O) of a compact hyperkahler 4-fold, equal to 2160/720.
 CHI_TRIVIAL_BUNDLE = Fraction(3)

@@ -55,8 +55,31 @@ def test_table1_warns_on_flagged_rows(tmp_path, capsys):
     assert "| 1 | 828 | 324 | 23 | 0 |" in captured.out
 
 
+def test_table1_default_fixture(capsys):
+    assert main(["table1", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "no,c2sq,c4,b2,b3",
+        "1,828,324,23,0",
+        "2,756,108,7,8",
+        "3,756,108,6,4",
+        "4,756,108,5,0",
+    ]
+
+
+def test_filter_default_fixture(tmp_path, capsys):
+    out = tmp_path / "filter.json"
+    assert main(["filter", "--out", str(out)]) == 0
+    data = json.loads(out.read_bytes())
+    assert [(r["b2"], r["b3"]) for r in data["records"]] == [
+        (23, 0), (7, 8), (6, 4), (5, 0),
+    ]
+    assert all(r["accepted"] for r in data["records"])
+    assert data["invalid_rows"] == []
+    assert "wrote filter report for 4 rows" in capsys.readouterr().out
+
+
 def test_bad_usage_exits_1(capsys):
-    assert main(["table1"]) == 1  # --candidates required
+    assert main(["filter"]) == 1  # --out required
     assert main(["nonsense"]) == 1
     assert main(["table1", "--candidates", "x", "--format", "yaml"]) == 1
     assert main([]) == 1

@@ -5,13 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hk4verify.exact import (
-    IndeterminateEquationError,
     format_rational,
     int_sqrt_exact,
     parse_rational,
     rational_sqrt_exact,
-    solve_rational_quadratic,
 )
+from oracles import IndeterminateEquationError, solve_rational_quadratic
 
 
 def test_int_sqrt_examples():

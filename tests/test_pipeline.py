@@ -89,6 +89,19 @@ def test_parse_splits_lines_on_lf_only():
         parse_candidates("b2,b3\n4,32\x0c5,0\n4,32\n")
 
 
+def test_parse_strips_only_spaces_tabs_and_crlf():
+    cf = parse_candidates("#\tnote \r\n b2 ,\tb3\r\n\t4 , 32 \r\n")
+    assert cf.valid_pairs() == [(4, 32)]
+    assert cf.provenance == "note"
+
+
+@pytest.mark.parametrize("ws", ["\x0c", "\x0b", "\x1c", "\x85", "\xa0", "\u2003", "\r"])
+@pytest.mark.parametrize("row", ["4,{}32", "{}4,32", "4,32{} ", "4{},32"])
+def test_parse_rejects_other_whitespace(row, ws):
+    with pytest.raises(CandidateFormatError, match=r":3: "):
+        parse_candidates("b2,b3\n23,0\n" + row.format(ws) + "\n")
+
+
 def test_parse_header_errors():
     with pytest.raises(CandidateFormatError):
         parse_candidates("23,0\n")
@@ -414,6 +427,86 @@ def test_table1_empty_input():
 def test_table1_unsupported_format():
     with pytest.raises(ValueError):
         table1(builtin_candidates(), "yaml")
+
+
+# ---------------------------------------------------------------------------
+# JSON layout: every JSON output is laid out exactly as json.dumps(indent=2)
+
+FLAGGED_ROWS = (
+    "# odd b3, negative, negative b4 and duplicate rows\n"
+    "b2,b3\n23,0\n5,3\n-1,0\n0,48\n4,32\n23,0\n-2,-4\n7,8\n"
+)
+
+
+def _region_text(b2_max):
+    return "b2,b3\n" + "".join(
+        f"{b2},{b3}\n"
+        for b2 in range(b2_max + 1)
+        for b3 in range(0, 46 + 10 * b2 + 1, 2)
+    )
+
+
+def _assert_dumps_layout(blob):
+    assert blob == (json.dumps(json.loads(blob), indent=2) + "\n").encode()
+
+
+def test_emit_report_json_layout_on_fixture():
+    cf = builtin_candidates()
+    _assert_dumps_layout(emit_report(prove(cf), "json", input_digest=cf.digest))
+
+
+def test_emit_report_json_layout_and_digest_on_b2_le_3_region():
+    cf = parse_candidates(_region_text(3))
+    blob = emit_report(prove(cf), "json", input_digest=cf.digest)
+    _assert_dumps_layout(blob)
+    assert json.loads(blob)["branch_counts"] == {
+        "LefschetzMismatch": 15372, "Table1Exclusion": 504,
+    }
+    assert hashlib.sha256(blob).hexdigest() == (
+        "00d5f33e80bcb33a8810032666a73ecd3644a452eb463f1a82556c35f4e121e2"
+    )
+
+
+def test_emit_report_json_layout_empty():
+    blob = emit_report([], "json", input_digest="sha256:none")
+    _assert_dumps_layout(blob)
+    assert json.loads(blob)["certificates"] == []
+
+
+def test_emit_report_json_keeps_equal_values_of_different_types_apart():
+    # 1, True and Fraction(1) compare equal but are written 1, true and "1/1"
+    (cert,) = prove(parse_candidates("b2,b3\n23,0\n"), primes=(2,), t_max=0)
+    values = [1, True, F(1), (1,), (True,), (F(1),)]
+    certs = [
+        Certificate(
+            candidate=cert.candidate, prime=2, t=t, branch=cert.branch,
+            details={**cert.details, "x": value},
+            hypotheses=cert.hypotheses if t % 2 else ("h", 1, True),
+        )
+        for t, value in enumerate(values)
+    ]
+    data = json.loads(emit_report(certs, "json"))
+    assert [c["details"]["x"] for c in data["certificates"]] == [
+        1, True, "1/1", [1], [True], ["1/1"],
+    ]
+    assert [type(c["details"]["x"]) for c in data["certificates"]][:2] == [int, bool]
+    assert data["certificates"][0]["hypotheses"] == ["h", 1, True]
+    assert data["certificates"][1]["hypotheses"] == list(cert.hypotheses)
+
+
+def test_emit_filter_report_layout_and_digest_on_flagged_rows():
+    blob = emit_filter_report(parse_candidates(FLAGGED_ROWS))
+    _assert_dumps_layout(blob)
+    assert [row["line"] for row in json.loads(blob)["invalid_rows"]] == [4, 5, 6, 8, 9]
+    assert hashlib.sha256(blob).hexdigest() == (
+        "11ae6783c8f384505e7564d3e3f6a0632f73d99275fb68a27e059b72bf7cc2dc"
+    )
+
+
+def test_table1_json_layout():
+    for cf in (builtin_candidates(), parse_candidates("b2,b3\n4,32\n")):
+        _assert_dumps_layout(table1(cf, "json").encode())
+    assert table1(parse_candidates("b2,b3\n"), "json") == "[]\n"
 
 
 def test_emit_filter_report():
