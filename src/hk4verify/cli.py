@@ -25,6 +25,7 @@ from .pipeline import (
     emit_filter_report,
     emit_report,
     load_candidates,
+    parse_int_field,
     prove,
     table1,
 )
@@ -54,19 +55,34 @@ class _Parser(argparse.ArgumentParser):
         raise CLIError(message)
 
 
+def _integer(text: str) -> int:
+    """argparse type: one integer under the candidate-file grammar (optional
+    sign, ASCII digits, spaces and tabs around them)."""
+    try:
+        return parse_int_field(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects an integer, got {text!r}"
+        ) from None
+
+
 def _betti_pair(text: str) -> tuple[int, int]:
-    tokens = [tok.strip() for tok in text.split(",")]
+    tokens = text.split(",")
     if len(tokens) != 2:
         raise CLIError(f"--betti expects 'b2,b3', got {text!r}")
     try:
-        return int(tokens[0]), int(tokens[1])
+        return parse_int_field(tokens[0]), parse_int_field(tokens[1])
     except ValueError:
         raise CLIError(f"--betti expects integers, got {text!r}") from None
 
 
 def _parse_primes(text: str) -> tuple[int, ...]:
+    """Comma-separated integers; "" is the empty list (prove then rejects
+    it), but an empty item inside a list is an error."""
+    if not text:
+        return ()
     try:
-        return tuple(int(tok.strip()) for tok in text.split(",") if tok.strip())
+        return tuple(parse_int_field(tok) for tok in text.split(","))
     except ValueError:
         raise CLIError(f"--primes expects comma-separated integers, got {text!r}") from None
 
@@ -190,7 +206,7 @@ def build_parser() -> _Parser:
         help="comma-separated primes to sweep (default: 2,3,5,7,11,13)",
     )
     p_prove.add_argument(
-        "--t-max", type=int, default=DEFAULT_T_MAX,
+        "--t-max", type=_integer, default=DEFAULT_T_MAX,
         help="largest torus count to sweep (default: 20)",
     )
     p_prove.add_argument("--out", required=True, help="report output path")
@@ -202,17 +218,17 @@ def build_parser() -> _Parser:
     p_rr = sub.add_parser(
         "rr", help="evaluate chi at a characteristic value, with discriminant"
     )
-    p_rr.add_argument("--c4", type=int, required=True)
+    p_rr.add_argument("--c4", type=_integer, required=True)
     p_rr.add_argument("--lambda", required=True, help="rational p/q")
     p_rr.set_defaults(func=_cmd_rr)
 
     p_tr = sub.add_parser(
         "transport", help="transport a Betti table through a quotient resolution"
     )
-    p_tr.add_argument("--p", type=int, required=True, help="prime order")
-    p_tr.add_argument("--m", type=int, default=0, help="isolated fixed points")
-    p_tr.add_argument("--k", type=int, default=0, help="fixed K3 components")
-    p_tr.add_argument("--t", type=int, default=0, help="fixed torus components")
+    p_tr.add_argument("--p", type=_integer, required=True, help="prime order")
+    p_tr.add_argument("--m", type=_integer, default=0, help="isolated fixed points")
+    p_tr.add_argument("--k", type=_integer, default=0, help="fixed K3 components")
+    p_tr.add_argument("--t", type=_integer, default=0, help="fixed torus components")
     p_tr.add_argument(
         "--betti", type=_betti_pair, required=True, help="pair b2,b3"
     )

@@ -6,7 +6,9 @@ UTF-8 text, LF or CRLF line endings.  Comment lines start with ``#`` (the
 leading comment block is kept as free-text provenance), the first
 non-comment line must be the header ``b2,b3``, and every following line
 holds two comma-separated integers.  Spaces and tabs around a field are
-ignored; any other whitespace in a line is an error.  Structurally malformed
+ignored; any other whitespace in a line is an error.  One anchored ASCII
+pattern (``_ROW_RE``) is the only thing that accepts a data row; other lines
+are comments, blank, the header, or errors.  Structurally malformed
 input (bad header, non-integer fields) is an error; rows that parse but are
 inadmissible (negative values, odd b3, negative forced b4, duplicates) are
 retained with an error annotation rather than silently dropped.
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ._version import __version__
 from .exact import format_rational, rational_sqrt_exact
@@ -56,7 +58,6 @@ from .quotient import (
     transport_betti,
 )
 from .riemann_roch import (
-    CandidateRecord,
     admits_zero_chi,
     delta,
     evaluate_candidate,
@@ -66,6 +67,7 @@ from .topology import (
     InadmissiblePairError,
     admissible_b4,
     betti_from_pair,
+    c4_from_betti,
     chern_from_betti,
     euler_characteristic,
     salamon_defect,
@@ -81,11 +83,30 @@ class CandidateFormatError(ValueError):
 
 class VerificationError(Exception):
     """An internal consistency check failed; this indicates a bug in the
-    pipeline or its inputs, never an accepted 'no contradiction' outcome."""
+    pipeline or its inputs, never an accepted 'no contradiction' outcome.
+
+    ``candidate``, ``prime`` and ``t`` locate the failing triple as far as it
+    is known, and ``identity`` names the check that broke (for example
+    ``"salamon_W"`` or ``"chi_top_W"``); ``str(exc)`` is the message alone.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        candidate: tuple[int, int] | None = None,
+        prime: int | None = None,
+        t: int | None = None,
+        identity: str | None = None,
+    ) -> None:
+        super().__init__(message)
+        self.candidate = candidate
+        self.prime = prime
+        self.t = t
+        self.identity = identity
 
 
-@dataclass(frozen=True)
-class CandidateRow:
+class CandidateRow(NamedTuple):
     """One data row; ``error`` carries the inadmissibility reason, if any."""
 
     line: int
@@ -157,11 +178,30 @@ _HYPOTHESES_EXCLUSION = _HYPOTHESES_COMMON + (
 # ---------------------------------------------------------------------------
 # Candidate ingestion
 
-_INT_RE = re.compile(r"\A[+-]?[0-9]+\Z")
+#: An integer field: an optional sign and ASCII digits.  int() alone would
+#: also take "1_0", non-ASCII digits and other whitespace.
+_INT = r"[+-]?[0-9]+"
 
 #: The only whitespace a line or a field may carry around its text; the "\r"
 #: of a CRLF line ending is dropped first.
 _BLANKS = " \t"
+
+_PAD = f"[{_BLANKS}]*"
+
+#: The one pattern that accepts a data row: two integer fields around a comma,
+#: blanks around each field, and the "\r" of a CRLF line ending.
+_ROW_RE = re.compile(rf"{_PAD}({_INT}){_PAD},{_PAD}({_INT}){_PAD}\r?")
+_FIELD_RE = re.compile(rf"{_PAD}({_INT}){_PAD}")
+
+
+def parse_int_field(text: str) -> int:
+    """The integer one field spells under the candidate-file grammar (blanks
+    around it allowed); ValueError for anything else."""
+    match = _FIELD_RE.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(match[1])
+
 
 #: Pairs accepted by the rational-square filter; the default prove fixture.
 TABLE1_FIXTURE = """\
@@ -186,7 +226,22 @@ def parse_candidates(
     rows: list[CandidateRow] = []
     seen: dict[tuple[int, int], int] = {}
     header_seen = False
+    match_row = _ROW_RE.fullmatch
     for lineno, raw in enumerate(text.split("\n"), start=1):
+        if header_seen and (match := match_row(raw)):
+            b2, b3 = int(match[1]), int(match[2])
+            first = seen.setdefault((b2, b3), lineno)
+            error: str | None = None
+            if first != lineno:
+                error = f"duplicate of line {first}"
+            else:
+                try:
+                    admissible_b4(b2, b3)
+                except InadmissiblePairError as exc:
+                    error = str(exc)
+            rows.append(CandidateRow(lineno, b2, b3, error))
+            continue
+        # comments, blank lines, the header, and data lines _ROW_RE refused
         line = raw.removesuffix("\r").strip(_BLANKS)
         if not line:
             continue
@@ -206,21 +261,7 @@ def parse_candidates(
             raise CandidateFormatError(
                 f"{path}:{lineno}: expected two comma-separated fields, got {line!r}"
             )
-        if not all(_INT_RE.match(tok) for tok in tokens):
-            raise CandidateFormatError(
-                f"{path}:{lineno}: non-integer field in {line!r}"
-            )
-        b2, b3 = int(tokens[0]), int(tokens[1])
-        error: str | None = None
-        if (b2, b3) in seen:
-            error = f"duplicate of line {seen[(b2, b3)]}"
-        else:
-            seen[(b2, b3)] = lineno
-            try:
-                admissible_b4(b2, b3)
-            except InadmissiblePairError as exc:
-                error = str(exc)
-        rows.append(CandidateRow(line=lineno, b2=b2, b3=b3, error=error))
+        raise CandidateFormatError(f"{path}:{lineno}: non-integer field in {line!r}")
     if not header_seen:
         raise CandidateFormatError(f"{path}: missing 'b2,b3' header line")
     return CandidateFile(
@@ -269,7 +310,8 @@ def prove(
     expected = len(candidates.valid_pairs()) * len(primes) * (t_max + 1)
     if len(certificates) != expected:
         raise VerificationError(
-            f"expected {expected} certificates, produced {len(certificates)}"
+            f"expected {expected} certificates, produced {len(certificates)}",
+            identity="certificate_count",
         )
     for cert in certificates:
         verify_certificate(cert)
@@ -284,7 +326,8 @@ def _prove_candidate(
     chern = chern_from_betti(b2, b3)
     if chi_X != chern.c4:
         raise VerificationError(
-            f"chi_top(X) = {chi_X} disagrees with c4 = {chern.c4} for ({b2}, {b3})"
+            f"chi_top(X) = {chi_X} disagrees with c4 = {chern.c4} for ({b2}, {b3})",
+            candidate=(b2, b3), identity="chi_top_X",
         )
     out: list[Certificate] = []
     for p in primes:
@@ -295,7 +338,8 @@ def _prove_candidate(
             chi_fixed = lefschetz_euler_fixed(profile)
             if chi_fixed != 0:
                 raise VerificationError(
-                    f"fixed locus of {t} tori must have chi_top 0, got {chi_fixed}"
+                    f"fixed locus of {t} tori must have chi_top 0, got {chi_fixed}",
+                    candidate=(b2, b3), prime=p, t=t, identity="chi_top_fixed_locus",
                 )
             details: dict[str, object] = {
                 "chi_top_X": chi_X,
@@ -322,16 +366,19 @@ def _prove_candidate(
             if salamon_defect(bW) != 0:
                 raise VerificationError(
                     f"transported Salamon defect nonzero for ({b2}, {b3}), "
-                    f"p={p}, t={t}: {salamon_defect(bW)}"
+                    f"p={p}, t={t}: {salamon_defect(bW)}",
+                    candidate=(b2, b3), prime=p, t=t, identity="salamon_W",
                 )
             if orbifold_salamon_defect(bW, profile) != 0:
                 raise VerificationError(
-                    f"orbifold Salamon defect nonzero for ({b2}, {b3}), p={p}, t={t}"
+                    f"orbifold Salamon defect nonzero for ({b2}, {b3}), p={p}, t={t}",
+                    candidate=(b2, b3), prime=p, t=t, identity="orbifold_salamon_W",
                 )
             chi_W = euler_characteristic(bW)
             if chi_W != 0:
                 raise VerificationError(
-                    f"chi_top(W) = {chi_W} should vanish for ({b2}, {b3}), p={p}, t={t}"
+                    f"chi_top(W) = {chi_W} should vanish for ({b2}, {b3}), p={p}, t={t}",
+                    candidate=(b2, b3), prime=p, t=t, identity="chi_top_W",
                 )
             c4_W = chi_W  # c4 equals chi_top on the hyperkahler resolution
             d = delta(c4_W)
@@ -339,7 +386,8 @@ def _prove_candidate(
             if roots:
                 raise VerificationError(
                     f"no contradiction: chi = 0 admits rational roots {sorted(roots)} "
-                    f"at c4 = {c4_W} for ({b2}, {b3}), p={p}, t={t}"
+                    f"at c4 = {c4_W} for ({b2}, {b3}), p={p}, t={t}",
+                    candidate=(b2, b3), prime=p, t=t, identity="zero_chi_W",
                 )
             details.update(
                 {
@@ -369,19 +417,35 @@ def verify_certificate(cert: Certificate) -> None:
     chi_X = cert.details["chi_top_X"]
     if cert.branch is Branch.LEFSCHETZ_MISMATCH:
         if chi_X == 0:
-            raise VerificationError(f"LefschetzMismatch with chi_top(X) = 0: {cert}")
+            raise _certificate_error(
+                cert, f"LefschetzMismatch with chi_top(X) = 0: {cert}",
+                "lefschetz_mismatch",
+            )
     elif cert.branch is Branch.TABLE1_EXCLUSION:
         c4_W = cert.details["c4_W"]
         if chi_X != 0 or c4_W != 0:
-            raise VerificationError(
-                f"Table1Exclusion requires chi_top(X) = c4(W) = 0: {cert}"
+            raise _certificate_error(
+                cert, f"Table1Exclusion requires chi_top(X) = c4(W) = 0: {cert}",
+                "table1_exclusion",
             )
         if admits_zero_chi(c4_W):
-            raise VerificationError(
-                f"Table1Exclusion but chi = 0 is rationally solvable at c4 = {c4_W}"
+            raise _certificate_error(
+                cert,
+                f"Table1Exclusion but chi = 0 is rationally solvable at c4 = {c4_W}",
+                "zero_chi_W",
             )
     else:  # pragma: no cover - enum is closed
-        raise VerificationError(f"unknown branch {cert.branch}")
+        raise _certificate_error(cert, f"unknown branch {cert.branch}", None)
+
+
+def _certificate_error(
+    cert: Certificate, message: str, identity: str | None
+) -> VerificationError:
+    """A VerificationError located at ``cert``'s triple."""
+    return VerificationError(
+        message, candidate=cert.candidate, prime=cert.prime, t=cert.t,
+        identity=identity,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -645,9 +709,10 @@ def table1(candidates: CandidateFile, fmt: str = "markdown") -> str:
 
 
 #: One filter record, an item of the report's "records" array.  Every field
-#: after b3 is a function of the Chern numbers, so that tail is rendered once
-#: per distinct (c2sq, c4) in a report.
-_RECORD_JSON = '{{\n      "b2": {},\n      "b3": {},\n{}'.format
+#: after b3 is a function of c4 alone (c2sq = (c4 + 2160) / 3 on a
+#: hyperkahler 4-fold), so that tail is rendered once per distinct c4 in a
+#: report.  b2 and b3 are the ints the parser read, so %d writes them as JSON.
+_RECORD_JSON = b'{\n      "b2": %d,\n      "b3": %d,\n%b'
 _RECORD_TAIL_JSON = (
     '      "c2sq": {},\n'
     '      "c4": {},\n'
@@ -659,20 +724,23 @@ _RECORD_TAIL_JSON = (
 ).format
 
 
-def _record_rows(records: Iterable[CandidateRecord]) -> _Rows:
-    tails: dict[tuple[int, int], str] = {}
+def _record_rows(pairs: Iterable[tuple[int, int]]) -> _Rows:
+    """The filter records of ``pairs``; the filter runs once per distinct c4,
+    on the first pair with that c4, and its record gives the shared tail."""
+    tails: dict[int, bytes] = {}
     rows = _Rows()
-    for r in records:
-        chern = (r.chern.c2sq, r.chern.c4)
-        tail = tails.get(chern)
+    for b2, b3 in pairs:
+        c4 = c4_from_betti(b2, b3)
+        tail = tails.get(c4)
         if tail is None:
-            tail = tails[chern] = _RECORD_TAIL_JSON(
-                *map(_json_scalar, chern), _json_scalar(r.delta),
-                _json_scalar(r.delta_sqrt),
+            r = evaluate_candidate(b2, b3)
+            tail = tails[c4] = _RECORD_TAIL_JSON(
+                _json_scalar(r.chern.c2sq), _json_scalar(r.chern.c4),
+                _json_scalar(r.delta), _json_scalar(r.delta_sqrt),
                 _json_block(sorted(r.lambda_roots), "      "),
                 _json_scalar(r.accepted),
-            )
-        rows.append(_RECORD_JSON(_json_scalar(r.b2), _json_scalar(r.b3), tail).encode())
+            ).encode()
+        rows.append(_RECORD_JSON % (b2, b3, tail))
     return rows
 
 
@@ -685,9 +753,7 @@ def emit_filter_report(candidates: CandidateFile) -> bytes:
             "accepted flags below are computed for the supplied candidate "
             "list by this tool; they are not an externally attested table"
         ),
-        "records": _record_rows(
-            evaluate_candidate(b2, b3) for b2, b3 in candidates.valid_pairs()
-        ),
+        "records": _record_rows(candidates.valid_pairs()),
         "invalid_rows": [
             {"line": r.line, "b2": r.b2, "b3": r.b3, "error": r.error}
             for r in candidates.invalid_rows()

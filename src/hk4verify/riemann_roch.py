@@ -26,6 +26,12 @@ N = 0 is a square but chi is the constant 3, so there are no roots.  The
 filter runs on these integers; Fraction is built only for the values a
 record carries.  In the same terms chi = 3 + u * lambda * (lambda + 4) / 3456
 (rr_chi_hk).
+
+Everything a CandidateRecord holds besides b2 and b3 is therefore a function
+of c4 alone, and many pairs share a c4 (105,324 admissible pairs with
+b2 <= 200 have 1,024 values).  The filter report (pipeline.emit_filter_report)
+relies on this: it calls evaluate_candidate once per distinct c4 and writes
+that record's values for every pair with the same c4.
 """
 
 from __future__ import annotations

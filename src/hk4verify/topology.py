@@ -109,12 +109,19 @@ class ChernData:
         return 3 * self.c2sq - self.c4 - 2160
 
 
+def c4_from_betti(b2: int, b3: int) -> int:
+    """c4 = 48 + 12*b2 - 3*b3 of a hyperkahler 4-fold with Betti numbers b2
+    and b3; with 3*c2sq - c4 = 2160 it fixes both Chern numbers.  No check on
+    the pair (chern_from_betti rejects negative values)."""
+    return 48 + 12 * b2 - 3 * b3
+
+
 def chern_from_betti(b2: int, b3: int) -> ChernData:
     """Chern numbers of a hyperkahler 4-fold from its second and third Betti
     numbers:
 
-        c4    = 48 + 12*b2 - 3*b3
-        c2sq  = 736 +  4*b2 -   b3
+        c4    = 48 + 12*b2 - 3*b3      (c4_from_betti)
+        c2sq  = (c4 + 2160) / 3 = 736 + 4*b2 - b3
 
     Total on nonnegative pairs even when the result is geometrically
     unrealizable (c4 may come out negative), so candidate sweeps never crash
@@ -122,7 +129,8 @@ def chern_from_betti(b2: int, b3: int) -> ChernData:
     """
     if b2 < 0 or b3 < 0:
         raise ValueError(f"Betti numbers must be nonnegative, got ({b2}, {b3})")
-    return ChernData(c2sq=736 + 4 * b2 - b3, c4=48 + 12 * b2 - 3 * b3)
+    c4 = c4_from_betti(b2, b3)
+    return ChernData(c2sq=(c4 + 2160) // 3, c4=c4)
 
 
 def admissible_b4(b2: int, b3: int) -> int:

@@ -1,16 +1,67 @@
 """Independent reference implementations the tests compare the package
-against: a rational quadratic solver, the Riemann-Roch quadratic in its
-rational and fully general forms, and the Kuenneth product behind the Betti
-transport."""
+against: a token-split reader of candidate rows, a rational quadratic solver,
+the Riemann-Roch quadratic in its rational and fully general forms, and the
+Kuenneth product behind the Betti transport."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from hk4verify.exact import rational_sqrt_exact
 from hk4verify.quotient import is_prime
-from hk4verify.topology import BettiTable, SurfaceProfile
+from hk4verify.topology import (
+    BettiTable,
+    InadmissiblePairError,
+    SurfaceProfile,
+    admissible_b4,
+)
+
+
+class ReferenceFormatError(ValueError):
+    """A malformed line of a candidate file; ``line`` is its number."""
+
+    def __init__(self, line: int) -> None:
+        super().__init__(f"malformed line {line}")
+        self.line = line
+
+
+def read_rows_by_tokens(text: str) -> list[tuple[int, int, int, str | None]]:
+    """(line, b2, b3, error) of every data row of a candidate file, read by
+    splitting each line into comma-separated tokens and stripping spaces and
+    tabs from each; raises ReferenceFormatError at the first malformed line."""
+    rows = []
+    seen: dict[tuple[int, int], int] = {}
+    header_seen = False
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.removesuffix("\r").strip(" \t")
+        if not line or line.startswith("#"):
+            continue
+        tokens = [tok.strip(" \t") for tok in line.split(",")]
+        if not header_seen:
+            if tokens != ["b2", "b3"]:
+                raise ReferenceFormatError(lineno)
+            header_seen = True
+            continue
+        if len(tokens) != 2 or not all(
+            re.fullmatch(r"[+-]?[0-9]+", tok) for tok in tokens
+        ):
+            raise ReferenceFormatError(lineno)
+        b2, b3 = int(tokens[0]), int(tokens[1])
+        error = None
+        if (b2, b3) in seen:
+            error = f"duplicate of line {seen[(b2, b3)]}"
+        else:
+            seen[(b2, b3)] = lineno
+            try:
+                admissible_b4(b2, b3)
+            except InadmissiblePairError as exc:
+                error = str(exc)
+        rows.append((lineno, b2, b3, error))
+    if not header_seen:
+        raise ReferenceFormatError(0)
+    return rows
 
 
 class IndeterminateEquationError(ValueError):

@@ -164,6 +164,47 @@ def test_prove_rejects_bad_sweep_parameters(tmp_path, capsys):
     assert main(["prove", "--primes", "2;3", "--out", str(out)]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prove", "--primes", "2,,3"],
+        ["prove", "--primes", "2,3,"],
+        ["prove", "--primes", "1_1"],
+        ["prove", "--primes", "\u0663"],  # ARABIC-INDIC DIGIT THREE
+        ["prove", "--primes", "2,\x0c3"],
+        ["prove", "--t-max", "1_0"],
+        ["prove", "--t-max", ""],
+        ["rr", "--c4", "1_08", "--lambda", "1"],
+        ["rr", "--c4", "\uff11\uff10\uff18", "--lambda", "1"],  # fullwidth 108
+        ["transport", "--p", "\u0662", "--betti", "23,0"],
+        ["transport", "--p", "2", "--m", "0_0", "--betti", "23,0"],
+        ["transport", "--p", "2", "--k", "\u00a00", "--betti", "23,0"],
+        ["transport", "--p", "2", "--t", "+", "--betti", "23,0"],
+        ["transport", "--p", "2", "--betti", "2_3,0"],
+        ["transport", "--p", "2", "--betti", "23,"],
+    ],
+)
+def test_cli_integers_follow_candidate_grammar(argv, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    if argv[0] == "prove":
+        argv = [*argv, "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "expects" in err
+    assert not out.exists()
+
+
+def test_cli_integers_allow_blanks_around_items(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert main(
+        ["prove", "--primes", " 2 ,\t3 ", "--t-max", " 1 ", "--out", str(out),
+         "--format", "csv"]
+    ) == 0
+    assert len(out.read_text().splitlines()) == 1 + 4 * 2 * 2
+    assert main(["transport", "--p", " 2", "--t", "+0", "--betti", " 23 , 0 "]) == 0
+    assert "bY = 1,0,23,0,276,0,23,0,1" in capsys.readouterr().out
+
+
 def test_prove_rejects_empty_and_duplicate_primes(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(["prove", "--primes", "", "--out", str(out)]) == 1
@@ -200,6 +241,14 @@ def test_verification_failure_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli_mod, "prove", broken)
     assert main(["prove", "--out", str(tmp_path / "x.json")]) == 2
     assert "verification failed" in capsys.readouterr().err
+    monkeypatch.undo()
+    # a real broken identity: the message names the triple, nothing else
+    monkeypatch.setattr("hk4verify.pipeline.lefschetz_euler_fixed", lambda pr: pr.t)
+    argv = ["prove", "--primes", "2", "--t-max", "1", "--out", str(tmp_path / "y.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "verification failed: fixed locus of 1 tori must have chi_top 0, got 1\n"
+    )
 
 
 def test_module_entry_point(tmp_path):

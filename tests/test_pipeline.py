@@ -1,8 +1,11 @@
 import hashlib
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hk4verify._version import __version__
 from hk4verify.pipeline import (
@@ -21,7 +24,10 @@ from hk4verify.pipeline import (
     table1,
     verify_certificate,
 )
-from hk4verify.topology import InadmissiblePairError, betti_from_pair
+from hk4verify.exact import format_rational
+from hk4verify.riemann_roch import filter_candidates
+from hk4verify.topology import BettiTable, InadmissiblePairError, betti_from_pair
+from oracles import ReferenceFormatError, read_rows_by_tokens
 
 FOUR_PAIRS = "b2,b3\n23,0\n7,8\n6,4\n5,0\n"
 
@@ -100,6 +106,50 @@ def test_parse_strips_only_spaces_tabs_and_crlf():
 def test_parse_rejects_other_whitespace(row, ws):
     with pytest.raises(CandidateFormatError, match=r":3: "):
         parse_candidates("b2,b3\n23,0\n" + row.format(ws) + "\n")
+
+
+_blanks = st.text(alphabet=" \t", max_size=2)
+_field = st.one_of(
+    st.from_regex(r"[+-]?0{0,2}[0-9]{1,2}", fullmatch=True),
+    st.sampled_from(["", "-0", "+0", "007", "\u0663", "\uff14", "1_0", "4\x0c", "x"]),
+)
+_row_like = st.builds(
+    lambda a, f1, b, c, f2, d, extra, end: f"{a}{f1}{b},{c}{f2}{d}{extra}{end}",
+    _blanks, _field, _blanks, _blanks, _field, _blanks,
+    st.sampled_from(["", "", ",", ",5", " , 7"]),
+    st.sampled_from(["", "", "\r", "\r\r", " \r", "\r ", "\x0c"]),
+)
+_pieces = st.lists(
+    st.sampled_from([
+        " ", "\t", "\r", "\r\r", "+", "-", "-0", "0", "007", "4", "32", ",", "",
+        "\x0c", "\x0b", "\xa0", "\u0663", "#", "b2", "x", "_",
+    ]),
+    max_size=8,
+).map("".join)
+_line = st.one_of(
+    _row_like, _pieces, st.text(st.characters(exclude_characters="\n"), max_size=8)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_line, min_size=1, max_size=5))
+@example(["\t+4 , -0 \r", "007,0032\r"])
+@example(["4,32", "4,32\r\r"])
+@example(["4,32,1"])
+@example(["4,"])
+@example(["4,\x0c32"])
+@example(["\u0663,0"])
+def test_parse_rows_match_token_split_reference(lines):
+    text = "b2,b3\n" + "\n".join(lines) + "\n"
+    try:
+        expected = read_rows_by_tokens(text)
+    except ReferenceFormatError as exc:
+        with pytest.raises(CandidateFormatError) as err:
+            parse_candidates(text)
+        assert re.match(r"<memory>:(\d+): ", str(err.value))[1] == str(exc.line)
+        return
+    rows = parse_candidates(text).rows
+    assert [(r.line, r.b2, r.b3, r.error) for r in rows] == expected
 
 
 def test_parse_header_errors():
@@ -248,6 +298,36 @@ def test_prove_rejects_empty_and_duplicate_primes():
         prove(cf, primes=(2, 3, 2), t_max=0)
 
 
+def _broken_fixed_locus(profile):
+    return profile.t  # chi_top of t tori, broken: should be 0
+
+
+def _broken_transport(bY, profile):
+    b = list(bY.b)
+    b[2] += profile.t  # no matching b4 term: Salamon defect -10*t
+    return BettiTable(tuple(b))
+
+
+@pytest.mark.parametrize(
+    "name, broken, message, identity",
+    [
+        ("lefschetz_euler_fixed", _broken_fixed_locus,
+         "fixed locus of 1 tori must have chi_top 0, got 1", "chi_top_fixed_locus"),
+        ("transport_betti", _broken_transport,
+         "transported Salamon defect nonzero for (4, 32), p=3, t=1: -10", "salamon_W"),
+    ],
+)
+def test_verification_error_names_triple_and_identity(
+    monkeypatch, name, broken, message, identity
+):
+    monkeypatch.setattr(f"hk4verify.pipeline.{name}", broken)
+    with pytest.raises(VerificationError) as exc:
+        prove(parse_candidates("b2,b3\n4,32\n"), primes=(3,), t_max=2)
+    assert str(exc.value) == message
+    err = exc.value
+    assert (err.candidate, err.prime, err.t, err.identity) == ((4, 32), 3, 1, identity)
+
+
 def test_verify_certificate_rejects_tampering():
     cf = parse_candidates("b2,b3\n23,0\n")
     (cert,) = prove(cf, primes=(2,), t_max=0)
@@ -259,8 +339,10 @@ def test_verify_certificate_rejects_tampering():
         details={**cert.details, "chi_top_X": 0},
         hypotheses=cert.hypotheses,
     )
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError) as exc:
         verify_certificate(bad)
+    assert (exc.value.candidate, exc.value.prime, exc.value.t) == ((23, 0), 2, 0)
+    assert exc.value.identity == "lefschetz_mismatch"
     bad_exclusion = Certificate(
         candidate=cert.candidate,
         prime=cert.prime,
@@ -501,6 +583,25 @@ def test_emit_filter_report_layout_and_digest_on_flagged_rows():
     assert hashlib.sha256(blob).hexdigest() == (
         "11ae6783c8f384505e7564d3e3f6a0632f73d99275fb68a27e059b72bf7cc2dc"
     )
+
+
+def test_emit_filter_report_matches_filter_candidates_on_b2_le_30_region():
+    # the report evaluates each c4 once; here 3,069 pairs share 174 values
+    cf = parse_candidates(_region_text(30))
+    records = json.loads(emit_filter_report(cf))["records"]
+    reference = filter_candidates(cf.valid_pairs())
+    assert (len(reference), len({r.chern.c4 for r in reference})) == (3069, 174)
+    assert [(r["b2"], r["b3"]) for r in records] == cf.valid_pairs()
+    assert [
+        (r["c2sq"], r["c4"], r["delta"], r["delta_sqrt"], r["lambda_roots"],
+         r["accepted"])
+        for r in records
+    ] == [
+        (r.chern.c2sq, r.chern.c4, format_rational(r.delta),
+         None if r.delta_sqrt is None else format_rational(r.delta_sqrt),
+         [format_rational(x) for x in sorted(r.lambda_roots)], r.accepted)
+        for r in reference
+    ]
 
 
 def test_table1_json_layout():
