@@ -10,17 +10,16 @@ import argparse
 import re
 import sys
 import time
-from collections import Counter
 from pathlib import Path
 
 from ._version import __version__
 from .exact import format_rational, parse_rational, rational_sqrt_exact
 from .pipeline import (
-    Branch,
     CandidateFile,
     DEFAULT_PRIMES,
     DEFAULT_T_MAX,
     VerificationError,
+    _branch_counts,
     builtin_candidates,
     emit_filter_report,
     emit_report,
@@ -124,11 +123,11 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     Path(args.out).write_bytes(
         emit_report(certs, args.format, input_digest=cf.digest)
     )
-    counts = Counter(c.branch for c in certs)
+    counts = _branch_counts(certs)
     print(
         f"contradicted {len(certs)} (candidate, prime, t) triples in "
         f"{elapsed:.3f}s: "
-        + ", ".join(f"{branch.value}={counts[branch]}" for branch in Branch)
+        + ", ".join(f"{name}={count}" for name, count in counts.items())
     )
     print(f"wrote {args.format} report to {args.out}")
     return 0

@@ -53,8 +53,9 @@ _RATIONAL_RE = re.compile(r"\A[+-]?[0-9]+(?:/[0-9]+)?\Z")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse `p/q` or a bare integer; reject anything else, including q = 0."""
-    s = text.strip()
+    """Parse `p/q` or a bare integer, with spaces and tabs around it; reject
+    anything else, including other whitespace and q = 0."""
+    s = text.strip(" \t")
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational in p/q form: {text!r}")
     if "/" in s:

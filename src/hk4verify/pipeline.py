@@ -31,6 +31,11 @@ the orbifold Salamon balance.  Exactly one of two contradictions then fires:
 Every (candidate, prime, t) triple must yield a certificate; a triple that
 refuses both branches aborts the run, because it would mean the verified
 chain of identities is broken.
+
+The fixed-locus identity chi_top = m + 24k + 0*t = 0 is checked once per
+(candidate, prime) as an affine form in t, which proves it for every t >= 0,
+and the LefschetzMismatch certificates of one (candidate, prime) share their
+``details``.  Table1Exclusion keeps per-t checks: betti_W depends on t.
 """
 
 from __future__ import annotations
@@ -40,11 +45,12 @@ import hashlib
 import io
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from ._version import __version__
 from .exact import format_rational, rational_sqrt_exact
@@ -58,10 +64,10 @@ from .quotient import (
     transport_betti,
 )
 from .riemann_roch import (
+    CandidateRecord,
     admits_zero_chi,
     delta,
     evaluate_candidate,
-    filter_candidates,
 )
 from .topology import (
     InadmissiblePairError,
@@ -72,6 +78,8 @@ from .topology import (
     euler_characteristic,
     salamon_defect,
 )
+
+_T = TypeVar("_T")
 
 DEFAULT_PRIMES: tuple[int, ...] = (2, 3, 5, 7, 11, 13)
 DEFAULT_T_MAX = 20
@@ -137,10 +145,10 @@ class Branch(Enum):
     TABLE1_EXCLUSION = "Table1Exclusion"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Machine-checkable record of which contradiction refutes one
-    (candidate, prime, t) triple, with all intermediate exact values."""
+    (candidate, prime, t) triple, with all intermediate exact values.
+    ``details`` may be shared between certificates: treat it as read-only."""
 
     candidate: tuple[int, int]
     prime: int
@@ -221,7 +229,8 @@ def parse_candidates(
 ) -> CandidateFile:
     """Parse candidate text; see the module docstring for the grammar."""
     if digest is None:
-        digest = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+        raw = text.encode("utf-8", "surrogatepass")  # a str may hold lone surrogates
+        digest = "sha256:" + hashlib.sha256(raw).hexdigest()
     provenance: list[str] = []
     rows: list[CandidateRow] = []
     seen: dict[tuple[int, int], int] = {}
@@ -329,56 +338,59 @@ def _prove_candidate(
             f"chi_top(X) = {chi_X} disagrees with c4 = {chern.c4} for ({b2}, {b3})",
             candidate=(b2, b3), identity="chi_top_X",
         )
+    candidate = (b2, b3)
+    ts = range(t_max + 1)
     out: list[Certificate] = []
     for p in primes:
         m, k = solve_mk(p)
-        equation = mk_elimination_equation(p)
-        for t in range(t_max + 1):
-            profile = FixedLocusProfile(p=p, m=m, k=k, t=t)
-            chi_fixed = lefschetz_euler_fixed(profile)
-            if chi_fixed != 0:
-                raise VerificationError(
-                    f"fixed locus of {t} tori must have chi_top 0, got {chi_fixed}",
-                    candidate=(b2, b3), prime=p, t=t, identity="chi_top_fixed_locus",
+        # chi_top of the fixed locus is affine in t: zero value and slope
+        # prove it zero for every t >= 0
+        chi_fixed = lefschetz_euler_fixed(FixedLocusProfile(p=p, m=m, k=k, t=0))
+        slope = lefschetz_euler_fixed(FixedLocusProfile(p=p, m=m, k=k, t=1)) - chi_fixed
+        if chi_fixed != 0 or slope != 0:
+            t = 0 if chi_fixed != 0 else 1
+            got = chi_fixed + slope * t
+            raise VerificationError(
+                f"fixed locus of {t} tori must have chi_top 0, got {got}",
+                candidate=candidate, prime=p, t=t, identity="chi_top_fixed_locus",
+            )
+        details: dict[str, object] = {
+            "chi_top_X": chi_X,
+            "chi_top_fixed_locus": chi_fixed,
+            "m": m,
+            "k": k,
+            "mk_elimination": mk_elimination_equation(p),
+        }
+        if chi_X != chi_fixed:
+            out += [
+                Certificate(
+                    candidate, p, t, Branch.LEFSCHETZ_MISMATCH, details,
+                    _HYPOTHESES_COMMON,
                 )
-            details: dict[str, object] = {
-                "chi_top_X": chi_X,
-                "chi_top_fixed_locus": chi_fixed,
-                "m": m,
-                "k": k,
-                "mk_elimination": equation,
-            }
-            if chi_X != chi_fixed:
-                out.append(
-                    Certificate(
-                        candidate=(b2, b3),
-                        prime=p,
-                        t=t,
-                        branch=Branch.LEFSCHETZ_MISMATCH,
-                        details=details,
-                        hypotheses=_HYPOTHESES_COMMON,
-                    )
-                )
-                continue
+                for t in ts
+            ]
+            continue
+        for t in ts:
             # chi_top(X) = 0: pass through the quotient to the resolution W.
+            profile = FixedLocusProfile(p=p, m=m, k=k, t=t)
             bY = bX  # numerical triviality copies the Betti table
             bW = transport_betti(bY, profile)
             if salamon_defect(bW) != 0:
                 raise VerificationError(
                     f"transported Salamon defect nonzero for ({b2}, {b3}), "
                     f"p={p}, t={t}: {salamon_defect(bW)}",
-                    candidate=(b2, b3), prime=p, t=t, identity="salamon_W",
+                    candidate=candidate, prime=p, t=t, identity="salamon_W",
                 )
             if orbifold_salamon_defect(bW, profile) != 0:
                 raise VerificationError(
                     f"orbifold Salamon defect nonzero for ({b2}, {b3}), p={p}, t={t}",
-                    candidate=(b2, b3), prime=p, t=t, identity="orbifold_salamon_W",
+                    candidate=candidate, prime=p, t=t, identity="orbifold_salamon_W",
                 )
             chi_W = euler_characteristic(bW)
             if chi_W != 0:
                 raise VerificationError(
                     f"chi_top(W) = {chi_W} should vanish for ({b2}, {b3}), p={p}, t={t}",
-                    candidate=(b2, b3), prime=p, t=t, identity="chi_top_W",
+                    candidate=candidate, prime=p, t=t, identity="chi_top_W",
                 )
             c4_W = chi_W  # c4 equals chi_top on the hyperkahler resolution
             d = delta(c4_W)
@@ -387,28 +399,21 @@ def _prove_candidate(
                 raise VerificationError(
                     f"no contradiction: chi = 0 admits rational roots {sorted(roots)} "
                     f"at c4 = {c4_W} for ({b2}, {b3}), p={p}, t={t}",
-                    candidate=(b2, b3), prime=p, t=t, identity="zero_chi_W",
+                    candidate=candidate, prime=p, t=t, identity="zero_chi_W",
                 )
-            details.update(
-                {
-                    "betti_W": bW.b,
-                    "salamon_defect_W": 0,
-                    "c4_W": c4_W,
-                    "delta": d,
-                    "delta_sqrt": rational_sqrt_exact(d),
-                    "lambda_roots": tuple(sorted(roots)),
-                }
-            )
-            out.append(
-                Certificate(
-                    candidate=(b2, b3),
-                    prime=p,
-                    t=t,
-                    branch=Branch.TABLE1_EXCLUSION,
-                    details=details,
-                    hypotheses=_HYPOTHESES_EXCLUSION,
-                )
-            )
+            exclusion = {
+                **details,
+                "betti_W": bW.b,
+                "salamon_defect_W": 0,
+                "c4_W": c4_W,
+                "delta": d,
+                "delta_sqrt": rational_sqrt_exact(d),
+                "lambda_roots": tuple(sorted(roots)),
+            }
+            out.append(Certificate(
+                candidate, p, t, Branch.TABLE1_EXCLUSION, exclusion,
+                _HYPOTHESES_EXCLUSION,
+            ))
     return out
 
 
@@ -519,37 +524,6 @@ def _json_document(fields: dict[str, object]) -> bytes:
     return b"".join(parts)
 
 
-#: Leaf types whose equal values are always written alike.
-_EXACT_LEAVES = frozenset({str, int, bool, type(None), Fraction})
-
-
-def _memo_key(value: object) -> object:
-    """Hashable key of a report value that keeps apart values that compare
-    equal but are written differently, such as 1, True and Fraction(1)."""
-    if isinstance(value, dict):
-        return (dict, tuple(value), _memo_key(tuple(value.values())))
-    if isinstance(value, (list, tuple)):
-        types = tuple(map(type, value))
-        if _EXACT_LEAVES.issuperset(types):
-            return (list, types, tuple(value))
-        return (list, tuple(map(_memo_key, value)))
-    return (value.__class__, value)
-
-
-def _shared_blocks(indent: str) -> Callable[[object], str]:
-    """_json_block at ``indent``, rendering each distinct value once."""
-    memo: dict[object, str] = {}
-
-    def render(value: object) -> str:
-        key = _memo_key(value)
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = _json_block(value, indent)
-        return text
-
-    return render
-
-
 def _md_row(cells: Iterable[object]) -> str:
     return "| " + " | ".join(str(cell) for cell in cells) + " |"
 
@@ -592,10 +566,9 @@ def _render_table(
 
 
 def _branch_counts(certs: Iterable[Certificate]) -> dict[str, int]:
-    counts = {branch.value: 0 for branch in Branch}
-    for cert in certs:
-        counts[cert.branch.value] += 1
-    return counts
+    """Certificates per branch, keyed by branch name in Branch order."""
+    counts = Counter(cert.branch for cert in certs)
+    return {branch.value: counts[branch] for branch in Branch}
 
 
 _CERT_COLUMNS = (
@@ -619,15 +592,15 @@ def _cert_row(cert: Certificate, no_roots: str = "") -> tuple[object, ...]:
     )
 
 
-#: One certificate, an item of the report's "certificates" array.
-_CERT_JSON = (
-    "{{\n"
-    '      "candidate": [\n'
-    "        {},\n"
-    "        {}\n"
-    "      ],\n"
-    '      "prime": {},\n'
-    '      "t": {},\n'
+#: One certificate, an item of the report's "certificates" array: candidate,
+#: prime and t, then the tail.  The tail depends only on the branch, details
+#: and hypotheses objects, which the certificates of one (candidate, prime)
+#: share, so it is rendered once per distinct triple of objects.
+_CERT_HEAD_JSON = (
+    b'{\n      "candidate": [\n        %d,\n        %d\n      ],\n'
+    b'      "prime": %d,\n      "t": %d,\n%b'
+)
+_CERT_TAIL_JSON = (
     '      "branch": {},\n'
     '      "details": {},\n'
     '      "hypotheses": {}\n'
@@ -635,13 +608,25 @@ _CERT_JSON = (
 ).format
 
 
-def _cert_json(cert: Certificate, shared: Callable[[object], str]) -> bytes:
-    b2, b3 = cert.candidate
-    return _CERT_JSON(
-        _json_scalar(b2), _json_scalar(b3), _json_scalar(cert.prime),
-        _json_scalar(cert.t), _json_str(cert.branch.value),
-        shared(cert.details), shared(cert.hypotheses),
-    ).encode()
+def _cert_rows(ordered: Sequence[Certificate]) -> _Rows:
+    """The JSON items of ``ordered``.  The tail memo keys on object ids: every
+    certificate stays alive in ``ordered`` for the whole call, so an id is
+    never reused for another object."""
+    tails: dict[tuple[object, int, int], bytes] = {}
+    rows = _Rows()
+    for (b2, b3), p, t, branch, details, hypotheses in ordered:
+        # %d would write True as 1 and truncate 2.5 where json.dumps would not
+        if not (type(b2) is type(b3) is type(p) is type(t) is int):
+            raise TypeError(f"candidate, prime and t must be ints: {(b2, b3, p, t)!r}")
+        key = (branch, id(details), id(hypotheses))
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = _CERT_TAIL_JSON(
+                _json_str(branch.value), _json_block(details, "      "),
+                _json_block(hypotheses, "      "),
+            ).encode()
+        rows.append(_CERT_HEAD_JSON % (b2, b3, p, t, tail))
+    return rows
 
 
 def emit_report(
@@ -655,12 +640,11 @@ def emit_report(
     """
     ordered = sorted(certs, key=Certificate.sort_key)
     if fmt == "json":
-        shared = _shared_blocks("      ")
         payload = {
             "version": __version__,
             "input_digest": input_digest,
             "branch_counts": _branch_counts(ordered),
-            "certificates": _Rows(_cert_json(c, shared) for c in ordered),
+            "certificates": _cert_rows(ordered),
         }
         return _json_document(payload)
     if fmt == "csv":
@@ -694,11 +678,17 @@ def emit_report(
 def table1(candidates: CandidateFile, fmt: str = "markdown") -> str:
     """Render the accepted candidates as a table (columns No., c2sq, c4,
     b2, b3) sorted by decreasing b2 then decreasing b3."""
-    records = [r for r in filter_candidates(candidates.valid_pairs()) if r.accepted]
-    records.sort(key=lambda r: (-r.b2, -r.b3))
+    accepted = [
+        (b2, b3, chern)
+        for b2, b3, chern in _per_c4(
+            candidates.valid_pairs(), lambda r: r.chern if r.accepted else ()
+        )
+        if chern
+    ]
+    accepted.sort(key=lambda row: (-row[0], -row[1]))
     rows = [
-        (no, r.chern.c2sq, r.chern.c4, r.b2, r.b3)
-        for no, r in enumerate(records, start=1)
+        (no, chern.c2sq, chern.c4, b2, b3)
+        for no, (b2, b3, chern) in enumerate(accepted, start=1)
     ]
     return _render_table(
         fmt,
@@ -708,10 +698,24 @@ def table1(candidates: CandidateFile, fmt: str = "markdown") -> str:
     )
 
 
-#: One filter record, an item of the report's "records" array.  Every field
-#: after b3 is a function of c4 alone (c2sq = (c4 + 2160) / 3 on a
-#: hyperkahler 4-fold), so that tail is rendered once per distinct c4 in a
-#: report.  b2 and b3 are the ints the parser read, so %d writes them as JSON.
+def _per_c4(
+    pairs: Iterable[tuple[int, int]], derive: Callable[[CandidateRecord], _T]
+) -> Iterator[tuple[int, int, _T]]:
+    """``(b2, b3, derive(record))`` for each pair.  A filter record past b2 and
+    b3 is a function of c4 alone, so evaluate_candidate and ``derive`` (which
+    must not return None) run once per distinct c4, on its first pair."""
+    memo: dict[int, _T] = {}
+    for b2, b3 in pairs:
+        c4 = c4_from_betti(b2, b3)
+        value = memo.get(c4)
+        if value is None:
+            value = memo[c4] = derive(evaluate_candidate(b2, b3))
+        yield b2, b3, value
+
+
+#: One filter record, an item of the report's "records" array, filled with a
+#: (b2, b3, tail) item of _per_c4 as it is.  b2 and b3 are the ints the parser
+#: read, so %d writes them as JSON.
 _RECORD_JSON = b'{\n      "b2": %d,\n      "b3": %d,\n%b'
 _RECORD_TAIL_JSON = (
     '      "c2sq": {},\n'
@@ -724,24 +728,18 @@ _RECORD_TAIL_JSON = (
 ).format
 
 
+def _record_tail(r: CandidateRecord) -> bytes:
+    return _RECORD_TAIL_JSON(
+        _json_scalar(r.chern.c2sq), _json_scalar(r.chern.c4),
+        _json_scalar(r.delta), _json_scalar(r.delta_sqrt),
+        _json_block(sorted(r.lambda_roots), "      "),
+        _json_scalar(r.accepted),
+    ).encode()
+
+
 def _record_rows(pairs: Iterable[tuple[int, int]]) -> _Rows:
-    """The filter records of ``pairs``; the filter runs once per distinct c4,
-    on the first pair with that c4, and its record gives the shared tail."""
-    tails: dict[int, bytes] = {}
-    rows = _Rows()
-    for b2, b3 in pairs:
-        c4 = c4_from_betti(b2, b3)
-        tail = tails.get(c4)
-        if tail is None:
-            r = evaluate_candidate(b2, b3)
-            tail = tails[c4] = _RECORD_TAIL_JSON(
-                _json_scalar(r.chern.c2sq), _json_scalar(r.chern.c4),
-                _json_scalar(r.delta), _json_scalar(r.delta_sqrt),
-                _json_block(sorted(r.lambda_roots), "      "),
-                _json_scalar(r.accepted),
-            ).encode()
-        rows.append(_RECORD_JSON % (b2, b3, tail))
-    return rows
+    """The filter records of ``pairs``, one tail rendered per distinct c4."""
+    return _Rows([_RECORD_JSON % row for row in _per_c4(pairs, _record_tail)])
 
 
 def emit_filter_report(candidates: CandidateFile) -> bytes:

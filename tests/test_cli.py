@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -108,6 +109,17 @@ def test_rr_rejects_bad_rational(capsys):
     assert main(["rr", "--c4", "324", "--lambda", "1/0"]) == 1
 
 
+@pytest.mark.parametrize("text", ["\xa01/2", "1/2\x0c"])
+def test_rr_lambda_rejects_whitespace_other_than_blanks(text, capsys):
+    assert main(["rr", "--c4", "324", "--lambda", text]) == 1
+    assert capsys.readouterr().err.startswith("error: not a rational")
+
+
+def test_rr_lambda_allows_blanks_around_it(capsys):
+    assert main(["rr", "--c4", "324", "--lambda", " 1/2\t"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "chi = 609/128"
+
+
 def test_transport_command(capsys):
     assert main(
         ["transport", "--p", "2", "--m", "0", "--k", "1", "--t", "0",
@@ -135,7 +147,12 @@ def test_prove_default_fixture(tmp_path, capsys):
     data = json.loads(out.read_bytes())
     assert len(data["certificates"]) == 4 * 6 * 21
     stdout = capsys.readouterr().out
-    assert "contradicted 504" in stdout
+    assert re.fullmatch(
+        r"contradicted 504 \(candidate, prime, t\) triples in [0-9]+\.[0-9]{3}s: "
+        r"LefschetzMismatch=504, Table1Exclusion=0\n"
+        rf"wrote json report to {re.escape(str(out))}\n",
+        stdout,
+    )
 
 
 def test_prove_flags_and_formats(tmp_path):

@@ -112,6 +112,7 @@ def test_solve_quadratic_completeness_by_construction(a, r1, r2):
         ("0/5", F(0)),
         (" 3/4 ", F(3, 4)),
         ("007", F(7)),
+        ("\t 1/2\t", F(1, 2)),
     ],
 )
 def test_parse_rational_accepts(text, expected):
@@ -119,7 +120,12 @@ def test_parse_rational_accepts(text, expected):
 
 
 @pytest.mark.parametrize(
-    "text", ["1/0", "1.5", "", "a/b", "3/-2", "1e3", "--3", "1/ 2", "3 / 2", "1/2/3"]
+    "text",
+    [
+        "1/0", "1.5", "", "a/b", "3/-2", "1e3", "--3", "1/ 2", "3 / 2", "1/2/3",
+        # only spaces and tabs may surround the text
+        "\xa01/2", "1/2\x0c", "\n1/2", "1/2\r", "\u30001/2",
+    ],
 )
 def test_parse_rational_rejects(text):
     with pytest.raises(ValueError):

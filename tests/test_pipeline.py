@@ -139,6 +139,8 @@ _line = st.one_of(
 @example(["4,"])
 @example(["4,\x0c32"])
 @example(["\u0663,0"])
+@example(["\ud800"])
+@example(["# \ud800", "4,32"])
 def test_parse_rows_match_token_split_reference(lines):
     text = "b2,b3\n" + "\n".join(lines) + "\n"
     try:
@@ -326,6 +328,39 @@ def test_verification_error_names_triple_and_identity(
     assert str(exc.value) == message
     err = exc.value
     assert (err.candidate, err.prime, err.t, err.identity) == ((4, 32), 3, 1, identity)
+
+
+@pytest.mark.parametrize(
+    "broken, t, message",
+    [
+        # zero at t = 0 but slope 1: caught at t = 1 even when t_max = 0
+        (lambda pr: pr.t, 1, "fixed locus of 1 tori must have chi_top 0, got 1"),
+        (lambda pr: 5, 0, "fixed locus of 0 tori must have chi_top 0, got 5"),
+    ],
+    ids=["slope", "constant"],
+)
+def test_fixed_locus_identity_is_checked_as_affine_form_in_t(
+    monkeypatch, broken, t, message
+):
+    monkeypatch.setattr("hk4verify.pipeline.lefschetz_euler_fixed", broken)
+    with pytest.raises(VerificationError) as exc:
+        prove(parse_candidates("b2,b3\n23,0\n"), primes=(5, 2), t_max=0)
+    assert str(exc.value) == message
+    err = exc.value
+    assert (err.candidate, err.prime, err.t, err.identity) == (
+        (23, 0), 5, t, "chi_top_fixed_locus",
+    )
+
+
+def test_lefschetz_certificates_of_one_candidate_and_prime_share_details():
+    certs = prove(parse_candidates("b2,b3\n23,0\n4,32\n"), primes=(2, 3), t_max=2)
+    by_prime = {}
+    for cert in certs:
+        by_prime.setdefault((cert.candidate, cert.prime), []).append(cert.details)
+    for (candidate, _), details in by_prime.items():
+        shared = candidate == (23, 0)  # LefschetzMismatch; (4, 32) is c4 = 0
+        assert all((d is details[0]) == shared for d in details[1:])
+    assert len({id(d) for ds in by_prime.values() for d in ds}) == 2 + 2 * 3
 
 
 def test_verify_certificate_rejects_tampering():
@@ -576,6 +611,58 @@ def test_emit_report_json_keeps_equal_values_of_different_types_apart():
     assert data["certificates"][1]["hypotheses"] == list(cert.hypotheses)
 
 
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("csv", "1aff2fbd886047d8f8b0e6cdaf9d5fbc9c3f4cbf687d1c1b0b6094af0e694ce4"),
+        ("md", "2465389ee69a9a9fc912d22a4164e22cb33e825a71cb7a86e318f8ac13fff058"),
+    ],
+)
+def test_emit_report_csv_and_md_digests_on_b2_le_3_region(fmt, digest):
+    cf = parse_candidates(_region_text(3))
+    blob = emit_report(prove(cf), fmt, input_digest=cf.digest)
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def test_emit_report_same_bytes_for_shared_and_copied_details():
+    cf = parse_candidates("b2,b3\n23,0\n4,32\n7,8\n")
+    certs = prove(cf, primes=(2, 3), t_max=3)
+    copies = [cert._replace(details=dict(cert.details)) for cert in certs]
+    assert len({id(c.details) for c in certs}) < len({id(c.details) for c in copies})
+    for fmt in ("json", "csv", "md"):
+        assert emit_report(certs, fmt, input_digest=cf.digest) == emit_report(
+            copies, fmt, input_digest=cf.digest
+        )
+
+
+def test_emit_report_json_tail_follows_branch_details_and_hypotheses():
+    # one details object under two branches and two hypotheses tuples
+    (cert,) = prove(parse_candidates("b2,b3\n23,0\n"), primes=(2,), t_max=0)
+    certs = [
+        cert,
+        cert._replace(t=1, hypotheses=("h",)),
+        cert._replace(t=2, branch=Branch.TABLE1_EXCLUSION),
+    ]
+    data = json.loads(emit_report(certs, "json"))
+    assert [(c["branch"], c["hypotheses"]) for c in data["certificates"]] == [
+        ("LefschetzMismatch", list(cert.hypotheses)),
+        ("LefschetzMismatch", ["h"]),
+        ("Table1Exclusion", list(cert.hypotheses)),
+    ]
+    assert all(c["details"]["chi_top_X"] == 324 for c in data["certificates"])
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("t", True), ("prime", 2.0), ("t", F(1)), ("candidate", (23, False))],
+)
+def test_emit_report_json_rejects_non_int_head_fields(field, value):
+    # %d would write True as 1 and 2.0 as 2, where json.dumps writes true and 2.0
+    (cert,) = prove(parse_candidates("b2,b3\n23,0\n"), primes=(2,), t_max=0)
+    with pytest.raises(TypeError, match="must be ints"):
+        emit_report([cert._replace(**{field: value})], "json")
+
+
 def test_emit_filter_report_layout_and_digest_on_flagged_rows():
     blob = emit_filter_report(parse_candidates(FLAGGED_ROWS))
     _assert_dumps_layout(blob)
@@ -602,6 +689,18 @@ def test_emit_filter_report_matches_filter_candidates_on_b2_le_30_region():
          [format_rational(x) for x in sorted(r.lambda_roots)], r.accepted)
         for r in reference
     ]
+
+
+def test_table1_matches_filter_candidates_on_b2_le_30_region():
+    # table1 evaluates each c4 once; 3,069 pairs share 174 values
+    cf = parse_candidates(_region_text(30))
+    accepted = [r for r in filter_candidates(cf.valid_pairs()) if r.accepted]
+    accepted.sort(key=lambda r: (-r.b2, -r.b3))
+    assert table1(cf, "csv") == "no,c2sq,c4,b2,b3\n" + "".join(
+        f"{no},{r.chern.c2sq},{r.chern.c4},{r.b2},{r.b3}\n"
+        for no, r in enumerate(accepted, start=1)
+    )
+    assert len(accepted) == 80
 
 
 def test_table1_json_layout():
