@@ -19,7 +19,6 @@ from .pipeline import (
     DEFAULT_PRIMES,
     DEFAULT_T_MAX,
     VerificationError,
-    _branch_counts,
     builtin_candidates,
     emit_filter_report,
     emit_report,
@@ -123,7 +122,7 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     Path(args.out).write_bytes(
         emit_report(certs, args.format, input_digest=cf.digest)
     )
-    counts = _branch_counts(certs)
+    counts = certs.branch_counts()
     print(
         f"contradicted {len(certs)} (candidate, prime, t) triples in "
         f"{elapsed:.3f}s: "

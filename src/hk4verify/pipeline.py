@@ -8,10 +8,10 @@ non-comment line must be the header ``b2,b3``, and every following line
 holds two comma-separated integers.  Spaces and tabs around a field are
 ignored; any other whitespace in a line is an error.  One anchored ASCII
 pattern (``_ROW_RE``) is the only thing that accepts a data row; other lines
-are comments, blank, the header, or errors.  Structurally malformed
-input (bad header, non-integer fields) is an error; rows that parse but are
-inadmissible (negative values, odd b3, negative forced b4, duplicates) are
-retained with an error annotation rather than silently dropped.
+are comments, blank, the header, or errors.  Malformed input (bad header,
+non-integer or over-long fields, non-UTF-8 bytes) is an error; inadmissible
+rows (negative values, odd b3, negative forced b4, duplicates) are retained
+with an error annotation rather than silently dropped.
 
 The contradiction pipeline
 --------------------------
@@ -33,9 +33,9 @@ refuses both branches aborts the run, because it would mean the verified
 chain of identities is broken.
 
 The fixed-locus identity chi_top = m + 24k + 0*t = 0 is checked once per
-(candidate, prime) as an affine form in t, which proves it for every t >= 0,
-and the LefschetzMismatch certificates of one (candidate, prime) share their
-``details``.  Table1Exclusion keeps per-t checks: betti_W depends on t.
+(candidate, prime) as an affine form in t, which proves it for every t >= 0.
+Certificates are held as runs that share all but t (``CertificateRun``): one
+per LefschetzMismatch (candidate, prime), one per Table1Exclusion t.
 """
 
 from __future__ import annotations
@@ -45,10 +45,13 @@ import hashlib
 import io
 import json
 import re
-from collections import Counter
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
@@ -157,8 +160,57 @@ class Certificate(NamedTuple):
     details: dict[str, object]
     hypotheses: tuple[str, ...]
 
-    def sort_key(self) -> tuple[int, int, int, int]:
-        return (self.candidate[0], self.candidate[1], self.prime, self.t)
+
+class CertificateRun(NamedTuple):
+    """The certificates of one (candidate, prime) for each t in ``ts``; they
+    differ only in t and share ``branch``, ``details`` and ``hypotheses``."""
+
+    candidate: tuple[int, int]
+    prime: int
+    ts: range
+    branch: Branch
+    details: dict[str, object]
+    hypotheses: tuple[str, ...]
+
+
+class Certificates(Sequence[Certificate]):
+    """A read-only sequence of certificates stored as runs: ``len``,
+    iteration and indexing give one Certificate per (run, t), in run order."""
+
+    def __init__(self, runs: Iterable[CertificateRun]) -> None:
+        self.runs = tuple(runs)
+        self._len = sum(len(run.ts) for run in self.runs)
+
+    def __len__(self) -> int:
+        return self._len
+
+    @cached_property
+    def _starts(self) -> list[int]:
+        """The index of each run's first certificate, then the length; built
+        on first use, as prove and the report writers never index."""
+        return [0, *accumulate(len(run.ts) for run in self.runs)]
+
+    def __iter__(self) -> Iterator[Certificate]:
+        make = Certificate._make  # tuple.__new__, without Certificate()'s keywords
+        for candidate, p, ts, branch, details, hypotheses in self.runs:
+            for t in ts:
+                yield make((candidate, p, t, branch, details, hypotheses))
+
+    def __getitem__(self, index):  # type: ignore[override]
+        if isinstance(index, slice):
+            return [self[i] for i in range(self._len)[index]]
+        i = range(self._len)[index]  # negative indices, IndexError, TypeError
+        r = bisect_right(self._starts, i) - 1
+        candidate, p, ts, *shared = self.runs[r]
+        return Certificate(candidate, p, ts[i - self._starts[r]], *shared)
+
+    def branch_counts(self) -> dict[str, int]:
+        """Certificates per branch, keyed by branch name in Branch order."""
+        # compared by identity: hashing an Enum member runs Python code
+        return {
+            branch.value: sum(len(run.ts) for run in self.runs if run.branch is branch)
+            for branch in Branch
+        }
 
 
 # Cited facts the certificates rely on but do not recompute.  Stated here
@@ -238,7 +290,12 @@ def parse_candidates(
     match_row = _ROW_RE.fullmatch
     for lineno, raw in enumerate(text.split("\n"), start=1):
         if header_seen and (match := match_row(raw)):
-            b2, b3 = int(match[1]), int(match[2])
+            try:
+                b2, b3 = int(match[1]), int(match[2])
+            except ValueError:  # more digits than int() converts
+                limit = sys.get_int_max_str_digits()
+                message = f"{path}:{lineno}: integer field longer than {limit} digits"
+                raise CandidateFormatError(message) from None
             first = seen.setdefault((b2, b3), lineno)
             error: str | None = None
             if first != lineno:
@@ -282,7 +339,13 @@ def load_candidates(path: str | Path) -> CandidateFile:
     """Read and parse a candidate file; the digest covers the raw bytes."""
     raw = Path(path).read_bytes()
     digest = "sha256:" + hashlib.sha256(raw).hexdigest()
-    return parse_candidates(raw.decode("utf-8-sig"), path=str(path), digest=digest)
+    try:
+        text = raw.decode("utf-8").removeprefix("\ufeff")  # a leading BOM is allowed
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        message = f"{path}:{line}: not UTF-8 text: {exc.reason} at byte {exc.start}"
+        raise CandidateFormatError(message) from None
+    return parse_candidates(text, path=str(path), digest=digest)
 
 
 def builtin_candidates() -> CandidateFile:
@@ -296,12 +359,14 @@ def prove(
     candidates: CandidateFile,
     primes: Sequence[int] = DEFAULT_PRIMES,
     t_max: int = DEFAULT_T_MAX,
-) -> list[Certificate]:
+) -> Certificates:
     """Replay the contradiction for every (valid candidate, prime, t) triple.
 
     Returns one certificate per triple, in sweep order (candidates in file
-    order, then primes, then t).  Raises VerificationError if any triple
-    fails to produce a contradiction or an internal identity breaks.
+    order, then primes, then t), held as runs.  verify_certificate reads only
+    the branch and details, which a run shares, so it is called once per run,
+    at the run's first t.  Raises VerificationError if any triple fails to
+    produce a contradiction or an internal identity breaks.
     """
     if t_max < 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
@@ -313,23 +378,25 @@ def prove(
     for p in primes:
         if not is_prime(p):
             raise ValueError(f"not a prime: {p}")
-    certificates: list[Certificate] = []
+    runs: list[CertificateRun] = []
     for row in candidates.valid_rows():
-        certificates.extend(_prove_candidate(row.b2, row.b3, primes, t_max))
+        runs += _prove_candidate(row.b2, row.b3, primes, t_max)
+    certificates = Certificates(runs)
     expected = len(candidates.valid_pairs()) * len(primes) * (t_max + 1)
     if len(certificates) != expected:
         raise VerificationError(
             f"expected {expected} certificates, produced {len(certificates)}",
             identity="certificate_count",
         )
-    for cert in certificates:
-        verify_certificate(cert)
+    make = Certificate._make  # tuple.__new__, without Certificate()'s keywords
+    for candidate, p, ts, branch, details, hypotheses in runs:
+        verify_certificate(make((candidate, p, ts[0], branch, details, hypotheses)))
     return certificates
 
 
 def _prove_candidate(
     b2: int, b3: int, primes: tuple[int, ...], t_max: int
-) -> list[Certificate]:
+) -> list[CertificateRun]:
     bX = betti_from_pair(b2, b3)
     chi_X = euler_characteristic(bX)
     chern = chern_from_betti(b2, b3)
@@ -340,7 +407,8 @@ def _prove_candidate(
         )
     candidate = (b2, b3)
     ts = range(t_max + 1)
-    out: list[Certificate] = []
+    singles = [ts[t:t + 1] for t in ts]  # the ts of a Table1Exclusion run, one per t
+    out: list[CertificateRun] = []
     for p in primes:
         m, k = solve_mk(p)
         # chi_top of the fixed locus is affine in t: zero value and slope
@@ -362,13 +430,10 @@ def _prove_candidate(
             "mk_elimination": mk_elimination_equation(p),
         }
         if chi_X != chi_fixed:
-            out += [
-                Certificate(
-                    candidate, p, t, Branch.LEFSCHETZ_MISMATCH, details,
-                    _HYPOTHESES_COMMON,
-                )
-                for t in ts
-            ]
+            out.append(CertificateRun(
+                candidate, p, ts, Branch.LEFSCHETZ_MISMATCH, details,
+                _HYPOTHESES_COMMON,
+            ))
             continue
         for t in ts:
             # chi_top(X) = 0: pass through the quotient to the resolution W.
@@ -410,9 +475,9 @@ def _prove_candidate(
                 "delta_sqrt": rational_sqrt_exact(d),
                 "lambda_roots": tuple(sorted(roots)),
             }
-            out.append(Certificate(
-                candidate, p, t, Branch.TABLE1_EXCLUSION, exclusion,
-                _HYPOTHESES_EXCLUSION,
+            out.append(CertificateRun(
+                candidate, p, singles[t], Branch.TABLE1_EXCLUSION,
+                exclusion, _HYPOTHESES_EXCLUSION,
             ))
     return out
 
@@ -565,68 +630,83 @@ def _render_table(
     raise ValueError(f"unsupported format: {fmt!r}")
 
 
-def _branch_counts(certs: Iterable[Certificate]) -> dict[str, int]:
-    """Certificates per branch, keyed by branch name in Branch order."""
-    counts = Counter(cert.branch for cert in certs)
-    return {branch.value: counts[branch] for branch in Branch}
-
-
 _CERT_COLUMNS = (
     "b2", "b3", "prime", "t", "branch", "chi_top_X", "c4_W", "delta",
     "lambda_roots", "m", "k",
 )
 
 
-def _cert_row(cert: Certificate, no_roots: str = "") -> tuple[object, ...]:
-    """One certificate in _CERT_COLUMNS order; ``no_roots`` fills the
-    lambda_roots cell of a Table1Exclusion certificate with an empty root set."""
-    details = cert.details
-    exclusion = cert.branch is Branch.TABLE1_EXCLUSION
-    roots = ";".join(format_rational(r) for r in details.get("lambda_roots", ()))
-    return (
-        *cert.candidate, cert.prime, cert.t, cert.branch.value, details["chi_top_X"],
-        details["c4_W"] if exclusion else "",
-        format_rational(details["delta"]) if exclusion else "",
-        roots or (no_roots if exclusion else ""),
-        details["m"], details["k"],
-    )
+def _table_rows(
+    ordered: Certificates, *extra: object, no_roots: str = ""
+) -> list[tuple[object, ...]]:
+    """Every certificate in _CERT_COLUMNS order, then ``extra``; ``no_roots``
+    fills the lambda_roots cell of a Table1Exclusion certificate with an
+    empty root set.  The cells after t are built once per run."""
+    rows: list[tuple[object, ...]] = []
+    for (b2, b3), p, ts, branch, details, _ in ordered.runs:
+        exclusion = branch is Branch.TABLE1_EXCLUSION
+        roots = ";".join(format_rational(r) for r in details.get("lambda_roots", ()))
+        tail = (
+            branch.value, details["chi_top_X"],
+            details["c4_W"] if exclusion else "",
+            format_rational(details["delta"]) if exclusion else "",
+            roots or (no_roots if exclusion else ""),
+            details["m"], details["k"], *extra,
+        )
+        rows += [(b2, b3, p, t, *tail) for t in ts]
+    return rows
 
 
-#: One certificate, an item of the report's "certificates" array: candidate,
-#: prime and t, then the tail.  The tail depends only on the branch, details
-#: and hypotheses objects, which the certificates of one (candidate, prime)
-#: share, so it is rendered once per distinct triple of objects.
+#: One certificate, an item of the report's "certificates" array: the head
+#: (candidate, prime and the "t" key), t, and the tail (branch, details and
+#: hypotheses).  Head and tail are the same for every certificate of a run.
 _CERT_HEAD_JSON = (
     b'{\n      "candidate": [\n        %d,\n        %d\n      ],\n'
-    b'      "prime": %d,\n      "t": %d,\n%b'
+    b'      "prime": %d,\n      "t": '
 )
 _CERT_TAIL_JSON = (
-    '      "branch": {},\n'
+    ',\n      "branch": {},\n'
     '      "details": {},\n'
     '      "hypotheses": {}\n'
     "    }}"
 ).format
 
 
-def _cert_rows(ordered: Sequence[Certificate]) -> _Rows:
-    """The JSON items of ``ordered``.  The tail memo keys on object ids: every
-    certificate stays alive in ``ordered`` for the whole call, so an id is
-    never reused for another object."""
-    tails: dict[tuple[object, int, int], bytes] = {}
+def _cert_rows(ordered: Certificates) -> _Rows:
+    """The JSON items of ``ordered``, one per run holding its certificates.
+    Each hypotheses tuple is rendered once, keyed on its id: ``ordered``
+    keeps every tuple alive for the whole call."""
+    t_texts: dict[range, list[bytes]] = {}
+    hypotheses_texts: dict[int, str] = {}
     rows = _Rows()
-    for (b2, b3), p, t, branch, details, hypotheses in ordered:
-        # %d would write True as 1 and truncate 2.5 where json.dumps would not
-        if not (type(b2) is type(b3) is type(p) is type(t) is int):
-            raise TypeError(f"candidate, prime and t must be ints: {(b2, b3, p, t)!r}")
-        key = (branch, id(details), id(hypotheses))
-        tail = tails.get(key)
-        if tail is None:
-            tail = tails[key] = _CERT_TAIL_JSON(
-                _json_str(branch.value), _json_block(details, "      "),
-                _json_block(hypotheses, "      "),
-            ).encode()
-        rows.append(_CERT_HEAD_JSON % (b2, b3, p, t, tail))
+    for (b2, b3), p, ts, branch, details, hypotheses in ordered.runs:
+        if ts not in t_texts:
+            t_texts[ts] = [b"%d" % t for t in ts]
+        if id(hypotheses) not in hypotheses_texts:
+            hypotheses_texts[id(hypotheses)] = _json_block(hypotheses, "      ")
+        head = _CERT_HEAD_JSON % (b2, b3, p)
+        tail = _CERT_TAIL_JSON(
+            _json_str(branch.value), _json_block(details, "      "),
+            hypotheses_texts[id(hypotheses)],
+        ).encode()
+        rows.append(head + (tail + b",\n    " + head).join(t_texts[ts]) + tail)
     return rows
+
+
+def _sorted_runs(certs: Sequence[Certificate]) -> Certificates:
+    """``certs`` as runs sorted by (b2, b3, prime, first t): a Certificates
+    gives its own runs, any other sequence one run per certificate."""
+    if isinstance(certs, Certificates):
+        runs = list(certs.runs)
+    else:
+        runs = []
+        for (b2, b3), p, t, *shared in certs:
+            # %d and range() would take True as 1, and %d would truncate 2.5
+            if not (type(b2) is type(b3) is type(p) is type(t) is int):
+                raise TypeError(f"candidate, prime and t must be ints: {(b2, b3, p, t)!r}")
+            runs.append(CertificateRun((b2, b3), p, range(t, t + 1), *shared))
+    runs.sort(key=lambda run: (run.candidate, run.prime, run.ts.start))
+    return Certificates(runs)
 
 
 def emit_report(
@@ -636,14 +716,15 @@ def emit_report(
 
     Certificates are sorted by (b2, b3, prime, t); rationals are rendered as
     `p/q` strings; the tool version and the input-file digest are embedded.
-    Identical inputs produce byte-identical output.
+    Identical inputs produce byte-identical output.  Candidate, prime and t
+    must be ints (TypeError otherwise).
     """
-    ordered = sorted(certs, key=Certificate.sort_key)
+    ordered = _sorted_runs(certs)
     if fmt == "json":
         payload = {
             "version": __version__,
             "input_digest": input_digest,
-            "branch_counts": _branch_counts(ordered),
+            "branch_counts": ordered.branch_counts(),
             "certificates": _cert_rows(ordered),
         }
         return _json_document(payload)
@@ -651,10 +732,10 @@ def emit_report(
         text = _render_table(
             fmt,
             _CERT_COLUMNS + ("version", "input_digest"),
-            [_cert_row(cert) + (__version__, input_digest) for cert in ordered],
+            _table_rows(ordered, __version__, input_digest),
         )
         return text.encode("utf-8")
-    counts = _branch_counts(ordered)
+    counts = ordered.branch_counts()
     preamble = [
         "# Contradiction certificates",
         "",
@@ -668,7 +749,7 @@ def emit_report(
     text = _render_table(
         fmt,
         _CERT_COLUMNS,
-        [_cert_row(cert, no_roots="none") for cert in ordered],
+        _table_rows(ordered, no_roots="none"),
         text_columns=("branch", "lambda_roots"),
         preamble=preamble,
     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -284,3 +285,42 @@ def test_module_entry_point(tmp_path):
         text=True,
     )
     assert result.returncode == 1
+
+
+@pytest.mark.parametrize("command", ["table1", "filter", "prove"])
+def test_candidates_that_are_not_utf8_exit_1_naming_the_file(command, tmp_path, capsys):
+    src = tmp_path / "pairs.csv"
+    src.write_bytes(b"\xef\xbb\xbfb2,b3\n23,0\n\xff,0\n")
+    out = tmp_path / "out"
+    argv = [command, "--candidates", str(src)]
+    assert main(argv if command == "table1" else [*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {src}:3: not UTF-8 text: invalid start byte at byte 14\n"
+    )
+    assert not out.exists()
+
+
+def test_candidates_integer_field_over_the_digit_limit_exits_1_naming_the_line(
+    tmp_path, capsys
+):
+    limit = sys.get_int_max_str_digits()
+    src = tmp_path / "pairs.csv"
+    src.write_text("b2,b3\n23,0\n7," + "8" * (limit + 1) + "\n")
+    assert main(["prove", "--candidates", str(src), "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {src}:3: integer field longer than {limit} digits\n"
+    )
+
+
+def test_candidates_with_a_utf8_bom_are_accepted(tmp_path, capsys):
+    raw = b"\xef\xbb\xbf" + FOUR_PAIRS.encode()
+    src = tmp_path / "pairs.csv"
+    src.write_bytes(raw)
+    assert main(["table1", "--candidates", str(src), "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "1,828,324,23,0", "2,756,108,7,8", "3,756,108,6,4", "4,756,108,5,0",
+    ]
+    out = tmp_path / "r.json"
+    assert main(["prove", "--candidates", str(src), "--out", str(out)]) == 0
+    digest = json.loads(out.read_bytes())["input_digest"]
+    assert digest == "sha256:" + hashlib.sha256(raw).hexdigest()

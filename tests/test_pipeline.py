@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hk4verify import pipeline
 from hk4verify._version import __version__
 from hk4verify.pipeline import (
     Branch,
@@ -390,6 +391,57 @@ def test_verify_certificate_rejects_tampering():
         verify_certificate(bad_exclusion)
 
 
+def _b2_le_3_runs():
+    cf = parse_candidates(_region_text(3))
+    return prove(cf, primes=(2, 3), t_max=3), cf
+
+
+def test_certificates_sequence_matches_the_per_triple_sweep():
+    certs, cf = _b2_le_3_runs()
+    sweep = [
+        (pair, p, t, Branch.TABLE1_EXCLUSION if c4 == 0 else Branch.LEFSCHETZ_MISMATCH)
+        for pair in cf.valid_pairs()
+        for c4 in [48 + 12 * pair[0] - 3 * pair[1]]
+        for p in (2, 3)
+        for t in range(4)
+    ]
+    listed = list(certs)
+    assert len(certs) == len(listed) == len(sweep) == 126 * 2 * 4
+    assert [(c.candidate, c.prime, c.t, c.branch) for c in listed] == sweep
+    # one LefschetzMismatch run per (candidate, prime), one Table1Exclusion run per t
+    assert len(certs.runs) == (126 - 4) * 2 + 4 * 2 * 4
+    assert certs[-1] == listed[-1] and certs[-1].candidate == (3, 76)
+    assert certs[0] == listed[0] and certs[len(certs) - 1] == listed[-1]
+    assert certs[5:4000:7] == listed[5:4000:7]
+    assert certs[::-997] == listed[::-997]
+    assert all(certs[i] == listed[i] for i in range(0, len(listed), 13))
+    assert list(reversed(certs))[:9] == listed[::-1][:9]
+    with pytest.raises(IndexError):
+        certs[len(certs)]
+    assert certs.branch_counts() == {"LefschetzMismatch": 976, "Table1Exclusion": 32}
+
+
+def test_lefschetz_run_with_zero_chi_top_x_fails_at_its_first_t(monkeypatch):
+    # one tampered details object is shared by the 4 certificates of the run
+    real = pipeline._prove_candidate
+
+    def tampered(*args):
+        return [
+            run._replace(details={**run.details, "chi_top_X": 0})
+            if run.branch is Branch.LEFSCHETZ_MISMATCH else run
+            for run in real(*args)
+        ]
+
+    monkeypatch.setattr(pipeline, "_prove_candidate", tampered)
+    with pytest.raises(VerificationError) as exc:
+        _b2_le_3_runs()
+    err = exc.value
+    assert (err.candidate, err.prime, err.t, err.identity) == (
+        (0, 0), 2, 0, "lefschetz_mismatch",
+    )
+    assert str(err).startswith("LefschetzMismatch with chi_top(X) = 0: Certificate(")
+
+
 # ---------------------------------------------------------------------------
 # Reports
 
@@ -633,6 +685,15 @@ def test_emit_report_same_bytes_for_shared_and_copied_details():
         assert emit_report(certs, fmt, input_digest=cf.digest) == emit_report(
             copies, fmt, input_digest=cf.digest
         )
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "md"])
+def test_emit_report_same_bytes_for_runs_and_a_plain_list(fmt):
+    # a plain list is emitted as one run per certificate
+    certs, cf = _b2_le_3_runs()
+    assert emit_report(list(certs), fmt, input_digest=cf.digest) == emit_report(
+        certs, fmt, input_digest=cf.digest
+    )
 
 
 def test_emit_report_json_tail_follows_branch_details_and_hypotheses():
