@@ -36,6 +36,8 @@ The fixed-locus identity chi_top = m + 24k + 0*t = 0 is checked once per
 (candidate, prime) as an affine form in t, which proves it for every t >= 0.
 Certificates are held as runs that share all but t (``CertificateRun``): one
 per LefschetzMismatch (candidate, prime), one per Table1Exclusion t.
+``prove`` returns them as ``Certificates`` (the runs, ``len``, iteration in
+sweep order and ``branch_counts()``), the value ``emit_report`` serializes.
 """
 
 from __future__ import annotations
@@ -46,12 +48,9 @@ import io
 import json
 import re
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
-from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
@@ -173,9 +172,9 @@ class CertificateRun(NamedTuple):
     hypotheses: tuple[str, ...]
 
 
-class Certificates(Sequence[Certificate]):
-    """A read-only sequence of certificates stored as runs: ``len``,
-    iteration and indexing give one Certificate per (run, t), in run order."""
+class Certificates:
+    """The certificates of one prove call, held as ``runs``: ``len`` and
+    iteration give one Certificate per (run, t), in run order."""
 
     def __init__(self, runs: Iterable[CertificateRun]) -> None:
         self.runs = tuple(runs)
@@ -184,25 +183,11 @@ class Certificates(Sequence[Certificate]):
     def __len__(self) -> int:
         return self._len
 
-    @cached_property
-    def _starts(self) -> list[int]:
-        """The index of each run's first certificate, then the length; built
-        on first use, as prove and the report writers never index."""
-        return [0, *accumulate(len(run.ts) for run in self.runs)]
-
     def __iter__(self) -> Iterator[Certificate]:
         make = Certificate._make  # tuple.__new__, without Certificate()'s keywords
         for candidate, p, ts, branch, details, hypotheses in self.runs:
             for t in ts:
                 yield make((candidate, p, t, branch, details, hypotheses))
-
-    def __getitem__(self, index):  # type: ignore[override]
-        if isinstance(index, slice):
-            return [self[i] for i in range(self._len)[index]]
-        i = range(self._len)[index]  # negative indices, IndexError, TypeError
-        r = bisect_right(self._starts, i) - 1
-        candidate, p, ts, *shared = self.runs[r]
-        return Certificate(candidate, p, ts[i - self._starts[r]], *shared)
 
     def branch_counts(self) -> dict[str, int]:
         """Certificates per branch, keyed by branch name in Branch order."""
@@ -435,8 +420,23 @@ def _prove_candidate(
                 _HYPOTHESES_COMMON,
             ))
             continue
+        # chi_top(X) = 0: pass through the quotient to the resolution W.  The
+        # chi_top_W check in the t loop pins c4(W) to 0, so the values that
+        # read only c4(W) are computed once, before that loop.
+        roots = admits_zero_chi(0)
+        if roots:
+            raise VerificationError(
+                f"no contradiction: chi = 0 admits rational roots {sorted(roots)} "
+                f"at c4 = 0 for ({b2}, {b3}), p={p}, t=0",
+                candidate=candidate, prime=p, t=0, identity="zero_chi_W",
+            )
+        d = delta(0)
+        zero_chi = {
+            "delta": d,
+            "delta_sqrt": rational_sqrt_exact(d),
+            "lambda_roots": tuple(sorted(roots)),
+        }
         for t in ts:
-            # chi_top(X) = 0: pass through the quotient to the resolution W.
             profile = FixedLocusProfile(p=p, m=m, k=k, t=t)
             bY = bX  # numerical triviality copies the Betti table
             bW = transport_betti(bY, profile)
@@ -457,23 +457,12 @@ def _prove_candidate(
                     f"chi_top(W) = {chi_W} should vanish for ({b2}, {b3}), p={p}, t={t}",
                     candidate=candidate, prime=p, t=t, identity="chi_top_W",
                 )
-            c4_W = chi_W  # c4 equals chi_top on the hyperkahler resolution
-            d = delta(c4_W)
-            roots = admits_zero_chi(c4_W)
-            if roots:
-                raise VerificationError(
-                    f"no contradiction: chi = 0 admits rational roots {sorted(roots)} "
-                    f"at c4 = {c4_W} for ({b2}, {b3}), p={p}, t={t}",
-                    candidate=candidate, prime=p, t=t, identity="zero_chi_W",
-                )
             exclusion = {
                 **details,
                 "betti_W": bW.b,
                 "salamon_defect_W": 0,
-                "c4_W": c4_W,
-                "delta": d,
-                "delta_sqrt": rational_sqrt_exact(d),
-                "lambda_roots": tuple(sorted(roots)),
+                "c4_W": chi_W,  # c4 equals chi_top on the hyperkahler resolution
+                **zero_chi,
             }
             out.append(CertificateRun(
                 candidate, p, singles[t], Branch.TABLE1_EXCLUSION,
@@ -637,13 +626,13 @@ _CERT_COLUMNS = (
 
 
 def _table_rows(
-    ordered: Certificates, *extra: object, no_roots: str = ""
+    runs: Iterable[CertificateRun], *extra: object, no_roots: str = ""
 ) -> list[tuple[object, ...]]:
-    """Every certificate in _CERT_COLUMNS order, then ``extra``; ``no_roots``
-    fills the lambda_roots cell of a Table1Exclusion certificate with an
-    empty root set.  The cells after t are built once per run."""
+    """Every certificate of ``runs`` in _CERT_COLUMNS order, then ``extra``;
+    ``no_roots`` fills the lambda_roots cell of a Table1Exclusion certificate
+    with an empty root set.  The cells after t are built once per run."""
     rows: list[tuple[object, ...]] = []
-    for (b2, b3), p, ts, branch, details, _ in ordered.runs:
+    for (b2, b3), p, ts, branch, details, _ in runs:
         exclusion = branch is Branch.TABLE1_EXCLUSION
         roots = ";".join(format_rational(r) for r in details.get("lambda_roots", ()))
         tail = (
@@ -672,14 +661,14 @@ _CERT_TAIL_JSON = (
 ).format
 
 
-def _cert_rows(ordered: Certificates) -> _Rows:
-    """The JSON items of ``ordered``, one per run holding its certificates.
-    Each hypotheses tuple is rendered once, keyed on its id: ``ordered``
-    keeps every tuple alive for the whole call."""
+def _cert_rows(runs: Iterable[CertificateRun]) -> _Rows:
+    """The JSON items of ``runs``, one per run holding its certificates.
+    Each hypotheses tuple is rendered once, keyed on its id: the caller's
+    runs keep every tuple alive for the whole call."""
     t_texts: dict[range, list[bytes]] = {}
     hypotheses_texts: dict[int, str] = {}
     rows = _Rows()
-    for (b2, b3), p, ts, branch, details, hypotheses in ordered.runs:
+    for (b2, b3), p, ts, branch, details, hypotheses in runs:
         if ts not in t_texts:
             t_texts[ts] = [b"%d" % t for t in ts]
         if id(hypotheses) not in hypotheses_texts:
@@ -693,55 +682,39 @@ def _cert_rows(ordered: Certificates) -> _Rows:
     return rows
 
 
-def _sorted_runs(certs: Sequence[Certificate]) -> Certificates:
-    """``certs`` as runs sorted by (b2, b3, prime, first t): a Certificates
-    gives its own runs, any other sequence one run per certificate."""
-    if isinstance(certs, Certificates):
-        runs = list(certs.runs)
-    else:
-        runs = []
-        for (b2, b3), p, t, *shared in certs:
-            # %d and range() would take True as 1, and %d would truncate 2.5
-            if not (type(b2) is type(b3) is type(p) is type(t) is int):
-                raise TypeError(f"candidate, prime and t must be ints: {(b2, b3, p, t)!r}")
-            runs.append(CertificateRun((b2, b3), p, range(t, t + 1), *shared))
-    runs.sort(key=lambda run: (run.candidate, run.prime, run.ts.start))
-    return Certificates(runs)
-
-
 def emit_report(
-    certs: Sequence[Certificate], fmt: str = "json", *, input_digest: str = ""
+    certs: Certificates, fmt: str = "json", *, input_digest: str = ""
 ) -> bytes:
-    """Serialize certificates deterministically.
+    """Serialize the certificates of a prove call deterministically.
 
-    Certificates are sorted by (b2, b3, prime, t); rationals are rendered as
-    `p/q` strings; the tool version and the input-file digest are embedded.
-    Identical inputs produce byte-identical output.  Candidate, prime and t
-    must be ints (TypeError otherwise).
+    Certificates are sorted by (b2, b3, prime, t) by sorting the runs on
+    (candidate, prime, first t); rationals are rendered as `p/q` strings; the
+    tool version and the input-file digest are embedded.  Identical inputs
+    produce byte-identical output.
     """
-    ordered = _sorted_runs(certs)
+    runs = sorted(certs.runs, key=lambda r: (r.candidate, r.prime, r.ts.start))
     if fmt == "json":
         payload = {
             "version": __version__,
             "input_digest": input_digest,
-            "branch_counts": ordered.branch_counts(),
-            "certificates": _cert_rows(ordered),
+            "branch_counts": certs.branch_counts(),
+            "certificates": _cert_rows(runs),
         }
         return _json_document(payload)
     if fmt == "csv":
         text = _render_table(
             fmt,
             _CERT_COLUMNS + ("version", "input_digest"),
-            _table_rows(ordered, __version__, input_digest),
+            _table_rows(runs, __version__, input_digest),
         )
         return text.encode("utf-8")
-    counts = ordered.branch_counts()
+    counts = certs.branch_counts()
     preamble = [
         "# Contradiction certificates",
         "",
         f"- version: {__version__}",
         f"- input digest: {input_digest}",
-        f"- certificates: {len(ordered)} ("
+        f"- certificates: {len(certs)} ("
         + ", ".join(f"{name}: {count}" for name, count in sorted(counts.items()))
         + ")",
         "",
@@ -749,7 +722,7 @@ def emit_report(
     text = _render_table(
         fmt,
         _CERT_COLUMNS,
-        _table_rows(ordered, no_roots="none"),
+        _table_rows(runs, no_roots="none"),
         text_columns=("branch", "lambda_roots"),
         preamble=preamble,
     )

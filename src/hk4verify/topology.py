@@ -104,10 +104,6 @@ class ChernData:
     c2sq: int
     c4: int
 
-    def hk_identity_defect(self) -> int:
-        """3*c2sq - c4 - 2160; zero for every compact hyperkahler 4-fold."""
-        return 3 * self.c2sq - self.c4 - 2160
-
 
 def c4_from_betti(b2: int, b3: int) -> int:
     """c4 = 48 + 12*b2 - 3*b3 of a hyperkahler 4-fold with Betti numbers b2

@@ -13,6 +13,8 @@ from hk4verify.pipeline import (
     Branch,
     CandidateFormatError,
     Certificate,
+    CertificateRun,
+    Certificates,
     DEFAULT_PRIMES,
     DEFAULT_T_MAX,
     VerificationError,
@@ -227,7 +229,7 @@ def test_prove_exclusion_details():
     cf = parse_candidates("b2,b3\n4,32\n")
     certs = prove(cf, primes=(3,), t_max=7)
     assert len(certs) == 8
-    cert = certs[-1]
+    *_, cert = certs
     assert cert.branch is Branch.TABLE1_EXCLUSION
     assert cert.details["chi_top_X"] == 0
     assert cert.details["c4_W"] == 0
@@ -410,14 +412,6 @@ def test_certificates_sequence_matches_the_per_triple_sweep():
     assert [(c.candidate, c.prime, c.t, c.branch) for c in listed] == sweep
     # one LefschetzMismatch run per (candidate, prime), one Table1Exclusion run per t
     assert len(certs.runs) == (126 - 4) * 2 + 4 * 2 * 4
-    assert certs[-1] == listed[-1] and certs[-1].candidate == (3, 76)
-    assert certs[0] == listed[0] and certs[len(certs) - 1] == listed[-1]
-    assert certs[5:4000:7] == listed[5:4000:7]
-    assert certs[::-997] == listed[::-997]
-    assert all(certs[i] == listed[i] for i in range(0, len(listed), 13))
-    assert list(reversed(certs))[:9] == listed[::-1][:9]
-    with pytest.raises(IndexError):
-        certs[len(certs)]
     assert certs.branch_counts() == {"LefschetzMismatch": 976, "Table1Exclusion": 32}
 
 
@@ -440,6 +434,22 @@ def test_lefschetz_run_with_zero_chi_top_x_fails_at_its_first_t(monkeypatch):
         (0, 0), 2, 0, "lefschetz_mismatch",
     )
     assert str(err).startswith("LefschetzMismatch with chi_top(X) = 0: Certificate(")
+
+
+def test_zero_chi_w_with_rational_roots_fails_at_its_first_t(monkeypatch):
+    # checked once per (candidate, prime), before the t loop; LefschetzMismatch
+    # candidates never reach it
+    monkeypatch.setattr("hk4verify.pipeline.admits_zero_chi", lambda c4: {F(-1, 2)})
+    with pytest.raises(VerificationError) as exc:
+        prove(parse_candidates("b2,b3\n23,0\n4,32\n"), primes=(3, 2), t_max=2)
+    err = exc.value
+    assert (err.candidate, err.prime, err.t, err.identity) == (
+        (4, 32), 3, 0, "zero_chi_W",
+    )
+    assert str(err) == (
+        "no contradiction: chi = 0 admits rational roots [Fraction(-1, 2)] "
+        "at c4 = 0 for (4, 32), p=3, t=0"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +502,7 @@ def test_emit_report_csv():
 
 
 def test_emit_report_csv_empty_is_header_only():
-    blob = emit_report([], "csv", input_digest="sha256:none")
+    blob = emit_report(Certificates(()), "csv", input_digest="sha256:none")
     assert blob.decode().splitlines() == [
         "b2,b3,prime,t,branch,chi_top_X,c4_W,delta,lambda_roots,m,k,"
         "version,input_digest"
@@ -552,7 +562,7 @@ def test_emit_report_markdown_full_text():
 
 def test_emit_report_unsupported_format():
     with pytest.raises(ValueError):
-        emit_report([], "xml")
+        emit_report(Certificates(()), "xml")
 
 
 def test_table1_markdown():
@@ -637,30 +647,29 @@ def test_emit_report_json_layout_and_digest_on_b2_le_3_region():
 
 
 def test_emit_report_json_layout_empty():
-    blob = emit_report([], "json", input_digest="sha256:none")
+    blob = emit_report(Certificates(()), "json", input_digest="sha256:none")
     _assert_dumps_layout(blob)
     assert json.loads(blob)["certificates"] == []
 
 
 def test_emit_report_json_keeps_equal_values_of_different_types_apart():
     # 1, True and Fraction(1) compare equal but are written 1, true and "1/1"
-    (cert,) = prove(parse_candidates("b2,b3\n23,0\n"), primes=(2,), t_max=0)
+    (run,) = prove(parse_candidates("b2,b3\n23,0\n"), primes=(2,), t_max=0).runs
     values = [1, True, F(1), (1,), (True,), (F(1),)]
-    certs = [
-        Certificate(
-            candidate=cert.candidate, prime=2, t=t, branch=cert.branch,
-            details={**cert.details, "x": value},
-            hypotheses=cert.hypotheses if t % 2 else ("h", 1, True),
+    certs = Certificates(
+        run._replace(
+            ts=range(t, t + 1), details={**run.details, "x": value},
+            hypotheses=run.hypotheses if t % 2 else ("h", 1, True),
         )
         for t, value in enumerate(values)
-    ]
+    )
     data = json.loads(emit_report(certs, "json"))
     assert [c["details"]["x"] for c in data["certificates"]] == [
         1, True, "1/1", [1], [True], ["1/1"],
     ]
     assert [type(c["details"]["x"]) for c in data["certificates"]][:2] == [int, bool]
     assert data["certificates"][0]["hypotheses"] == ["h", 1, True]
-    assert data["certificates"][1]["hypotheses"] == list(cert.hypotheses)
+    assert data["certificates"][1]["hypotheses"] == list(run.hypotheses)
 
 
 @pytest.mark.parametrize(
@@ -677,9 +686,17 @@ def test_emit_report_csv_and_md_digests_on_b2_le_3_region(fmt, digest):
 
 
 def test_emit_report_same_bytes_for_shared_and_copied_details():
+    # the copies are one run per certificate, each with its own details
     cf = parse_candidates("b2,b3\n23,0\n4,32\n7,8\n")
     certs = prove(cf, primes=(2, 3), t_max=3)
-    copies = [cert._replace(details=dict(cert.details)) for cert in certs]
+    copies = Certificates(
+        CertificateRun(
+            c.candidate, c.prime, range(c.t, c.t + 1), c.branch, dict(c.details),
+            c.hypotheses,
+        )
+        for c in certs
+    )
+    assert len(certs.runs) < len(copies.runs) == len(certs)
     assert len({id(c.details) for c in certs}) < len({id(c.details) for c in copies})
     for fmt in ("json", "csv", "md"):
         assert emit_report(certs, fmt, input_digest=cf.digest) == emit_report(
@@ -687,41 +704,32 @@ def test_emit_report_same_bytes_for_shared_and_copied_details():
         )
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv", "md"])
-def test_emit_report_same_bytes_for_runs_and_a_plain_list(fmt):
-    # a plain list is emitted as one run per certificate
-    certs, cf = _b2_le_3_runs()
-    assert emit_report(list(certs), fmt, input_digest=cf.digest) == emit_report(
-        certs, fmt, input_digest=cf.digest
-    )
+def test_emit_report_same_bytes_for_any_prime_order():
+    cf = parse_candidates("b2,b3\n23,0\n4,32\n7,8\n")
+    shuffled = prove(cf, primes=(5, 2, 3), t_max=2)
+    ordered = prove(cf, primes=(2, 3, 5), t_max=2)
+    assert [run.prime for run in shuffled.runs][:3] == [5, 2, 3]
+    for fmt in ("json", "csv", "md"):
+        assert emit_report(shuffled, fmt, input_digest=cf.digest) == emit_report(
+            ordered, fmt, input_digest=cf.digest
+        )
 
 
 def test_emit_report_json_tail_follows_branch_details_and_hypotheses():
     # one details object under two branches and two hypotheses tuples
-    (cert,) = prove(parse_candidates("b2,b3\n23,0\n"), primes=(2,), t_max=0)
-    certs = [
-        cert,
-        cert._replace(t=1, hypotheses=("h",)),
-        cert._replace(t=2, branch=Branch.TABLE1_EXCLUSION),
-    ]
+    (run,) = prove(parse_candidates("b2,b3\n23,0\n"), primes=(2,), t_max=0).runs
+    certs = Certificates([
+        run,
+        run._replace(ts=range(1, 2), hypotheses=("h",)),
+        run._replace(ts=range(2, 3), branch=Branch.TABLE1_EXCLUSION),
+    ])
     data = json.loads(emit_report(certs, "json"))
     assert [(c["branch"], c["hypotheses"]) for c in data["certificates"]] == [
-        ("LefschetzMismatch", list(cert.hypotheses)),
+        ("LefschetzMismatch", list(run.hypotheses)),
         ("LefschetzMismatch", ["h"]),
-        ("Table1Exclusion", list(cert.hypotheses)),
+        ("Table1Exclusion", list(run.hypotheses)),
     ]
     assert all(c["details"]["chi_top_X"] == 324 for c in data["certificates"])
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [("t", True), ("prime", 2.0), ("t", F(1)), ("candidate", (23, False))],
-)
-def test_emit_report_json_rejects_non_int_head_fields(field, value):
-    # %d would write True as 1 and 2.0 as 2, where json.dumps writes true and 2.0
-    (cert,) = prove(parse_candidates("b2,b3\n23,0\n"), primes=(2,), t_max=0)
-    with pytest.raises(TypeError, match="must be ints"):
-        emit_report([cert._replace(**{field: value})], "json")
 
 
 def test_emit_filter_report_layout_and_digest_on_flagged_rows():
