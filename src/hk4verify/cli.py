@@ -92,7 +92,7 @@ def _candidates(args: argparse.Namespace) -> CandidateFile:
 
 
 def _warn_invalid(cf: CandidateFile) -> None:
-    for row in cf.invalid_rows():
+    for row in cf.flagged:
         print(
             f"warning: skipping row {row.line} ({row.b2},{row.b3}): {row.error}",
             file=sys.stderr,
@@ -109,7 +109,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 def _cmd_filter(args: argparse.Namespace) -> int:
     cf = _candidates(args)
     Path(args.out).write_bytes(emit_filter_report(cf))
-    print(f"wrote filter report for {len(cf.rows)} rows to {args.out}")
+    print(f"wrote filter report for {len(cf.pairs) + len(cf.flagged)} rows to {args.out}")
     return 0
 
 

@@ -10,8 +10,9 @@ ignored; any other whitespace in a line is an error.  One anchored ASCII
 pattern (``_ROW_RE``) is the only thing that accepts a data row; other lines
 are comments, blank, the header, or errors.  Malformed input (bad header,
 non-integer or over-long fields, non-UTF-8 bytes) is an error; inadmissible
-rows (negative values, odd b3, negative forced b4, duplicates) are retained
-with an error annotation rather than silently dropped.
+rows (negative values, odd b3, negative forced b4, duplicates) are kept as
+flagged rows with an error annotation, never silently dropped.  A CandidateFile
+holds the valid pairs in file order with the line of each, and the flagged rows.
 
 The contradiction pipeline
 --------------------------
@@ -127,19 +128,26 @@ class CandidateRow(NamedTuple):
 
 @dataclass(frozen=True)
 class CandidateFile:
+    """The valid ``pairs`` in file order, the line of each, and a CandidateRow
+    per ``flagged`` row; ``rows`` builds every data row, in line order, on demand."""
+
     path: str
-    rows: tuple[CandidateRow, ...]
+    pairs: tuple[tuple[int, int], ...]
+    pair_lines: tuple[int, ...]
+    flagged: tuple[CandidateRow, ...]
     provenance: str
     digest: str
 
-    def valid_rows(self) -> list[CandidateRow]:
-        return [r for r in self.rows if r.error is None]
+    @property
+    def rows(self) -> tuple[CandidateRow, ...]:
+        valid = [CandidateRow(n, *p) for n, p in zip(self.pair_lines, self.pairs)]
+        return tuple(sorted(valid + list(self.flagged), key=lambda row: row.line))
 
     def valid_pairs(self) -> list[tuple[int, int]]:
-        return [(r.b2, r.b3) for r in self.valid_rows()]
+        return list(self.pairs)
 
     def invalid_rows(self) -> list[CandidateRow]:
-        return [r for r in self.rows if r.error is not None]
+        return list(self.flagged)
 
 
 class Branch(Enum):
@@ -269,8 +277,9 @@ def parse_candidates(
         raw = text.encode("utf-8", "surrogatepass")  # a str may hold lone surrogates
         digest = "sha256:" + hashlib.sha256(raw).hexdigest()
     provenance: list[str] = []
-    rows: list[CandidateRow] = []
-    seen: dict[tuple[int, int], int] = {}
+    flagged: list[CandidateRow] = []
+    seen: dict[tuple[int, int], int] = {}  # the first line of each pair read
+    inadmissible: list[tuple[int, int]] = []
     header_seen = False
     match_row = _ROW_RE.fullmatch
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -282,15 +291,14 @@ def parse_candidates(
                 message = f"{path}:{lineno}: integer field longer than {limit} digits"
                 raise CandidateFormatError(message) from None
             first = seen.setdefault((b2, b3), lineno)
-            error: str | None = None
             if first != lineno:
-                error = f"duplicate of line {first}"
-            else:
-                try:
-                    admissible_b4(b2, b3)
-                except InadmissiblePairError as exc:
-                    error = str(exc)
-            rows.append(CandidateRow(lineno, b2, b3, error))
+                flagged.append(CandidateRow(lineno, b2, b3, f"duplicate of line {first}"))
+                continue
+            try:
+                admissible_b4(b2, b3)
+            except InadmissiblePairError as exc:
+                flagged.append(CandidateRow(lineno, b2, b3, str(exc)))
+                inadmissible.append((b2, b3))
             continue
         # comments, blank lines, the header, and data lines _ROW_RE refused
         line = raw.removesuffix("\r").strip(_BLANKS)
@@ -315,8 +323,11 @@ def parse_candidates(
         raise CandidateFormatError(f"{path}:{lineno}: non-integer field in {line!r}")
     if not header_seen:
         raise CandidateFormatError(f"{path}: missing 'b2,b3' header line")
+    for pair in inadmissible:  # what remains is each valid pair at its line
+        del seen[pair]
     return CandidateFile(
-        path=path, rows=tuple(rows), provenance="\n".join(provenance), digest=digest
+        path=path, pairs=tuple(seen), pair_lines=tuple(seen.values()),
+        flagged=tuple(flagged), provenance="\n".join(provenance), digest=digest,
     )
 
 
@@ -364,10 +375,10 @@ def prove(
         if not is_prime(p):
             raise ValueError(f"not a prime: {p}")
     runs: list[CertificateRun] = []
-    for row in candidates.valid_rows():
-        runs += _prove_candidate(row.b2, row.b3, primes, t_max)
+    for b2, b3 in candidates.pairs:
+        runs += _prove_candidate(b2, b3, primes, t_max)
     certificates = Certificates(runs)
-    expected = len(candidates.valid_pairs()) * len(primes) * (t_max + 1)
+    expected = len(candidates.pairs) * len(primes) * (t_max + 1)
     if len(certificates) != expected:
         raise VerificationError(
             f"expected {expected} certificates, produced {len(certificates)}",
@@ -735,7 +746,7 @@ def table1(candidates: CandidateFile, fmt: str = "markdown") -> str:
     accepted = [
         (b2, b3, chern)
         for b2, b3, chern in _per_c4(
-            candidates.valid_pairs(), lambda r: r.chern if r.accepted else ()
+            candidates.pairs, lambda r: r.chern if r.accepted else ()
         )
         if chern
     ]
@@ -805,10 +816,7 @@ def emit_filter_report(candidates: CandidateFile) -> bytes:
             "accepted flags below are computed for the supplied candidate "
             "list by this tool; they are not an externally attested table"
         ),
-        "records": _record_rows(candidates.valid_pairs()),
-        "invalid_rows": [
-            {"line": r.line, "b2": r.b2, "b3": r.b3, "error": r.error}
-            for r in candidates.invalid_rows()
-        ],
+        "records": _record_rows(candidates.pairs),
+        "invalid_rows": [row._asdict() for row in candidates.flagged],
     }
     return _json_document(payload)

@@ -21,12 +21,14 @@ still satisfies Poincare duality.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .topology import BettiTable, K3_SURFACE, TORUS_SURFACE, salamon_defect
 
 
+@functools.cache  # one trial division per distinct n and process
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

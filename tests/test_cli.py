@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from hk4verify.cli import main
+from test_pipeline import FLAGGED_ROWS
 
 FOUR_PAIRS = "b2,b3\n23,0\n7,8\n6,4\n5,0\n"
 
@@ -247,6 +248,15 @@ def test_filter_command(tmp_path, capsys):
     data = json.loads(out.read_bytes())
     assert [r["accepted"] for r in data["records"]] == [True]
     assert len(data["invalid_rows"]) == 1
+
+
+def test_filter_summary_counts_flagged_rows(tmp_path, capsys):
+    src = tmp_path / "flagged.csv"
+    src.write_text(FLAGGED_ROWS)
+    out = tmp_path / "filter.json"
+    assert main(["filter", "--candidates", str(src), "--out", str(out)]) == 0
+    assert len(json.loads(out.read_bytes())["invalid_rows"]) == 5
+    assert f"wrote filter report for 8 rows to {out}" in capsys.readouterr().out
 
 
 def test_verification_failure_exits_2(tmp_path, monkeypatch, capsys):

@@ -1,13 +1,15 @@
 import hashlib
 import json
+import math
 import re
+from types import SimpleNamespace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hk4verify import pipeline
+from hk4verify import pipeline, quotient
 from hk4verify._version import __version__
 from hk4verify.pipeline import (
     Branch,
@@ -157,6 +159,31 @@ def test_parse_rows_match_token_split_reference(lines):
     assert [(r.line, r.b2, r.b3, r.error) for r in rows] == expected
 
 
+def test_parse_rows_match_token_split_reference_at_scale():
+    # the hypothesis test above reaches 5 lines; this checks the line of every
+    # valid and flagged row over a few thousand, with every kind of flag
+    header, *data = _region_text(30).splitlines()
+    extras = ["# note", "", " \t", "-1,0", "5,3\r", "0,48", " 0 ,\t48 ", "-2,-4"]
+    lines = [header]
+    for i, row in enumerate(data):
+        if i % 7 == 0:
+            row = " {}\t, {} ".format(*row.split(","))
+        lines.append(row + "\r" * (i % 11 == 0))
+        if i % 97 == 0:
+            lines.append(data[i // 2])
+        if i % 53 == 0:
+            lines.append(extras[i // 53 % len(extras)])
+    text = "\n".join(lines) + "\n"
+    expected = read_rows_by_tokens(text)
+    cf = parse_candidates(text)
+    assert [(r.line, r.b2, r.b3, r.error) for r in cf.rows] == expected
+    assert len(cf.rows) == len(cf.valid_pairs()) + len(cf.invalid_rows())
+    assert cf.valid_pairs() == [(b2, b3) for _, b2, b3, error in expected if not error]
+    errors = [(r.b2, r.b3, r.error.split()[0]) for r in cf.invalid_rows()]
+    assert {e for _, _, e in errors} == {"Betti", "b3", "Salamon", "duplicate"}
+    assert (0, 48, "duplicate") in errors and len(lines) > 3000
+
+
 def test_parse_header_errors():
     with pytest.raises(CandidateFormatError):
         parse_candidates("23,0\n")
@@ -301,6 +328,28 @@ def test_prove_rejects_empty_and_duplicate_primes():
         prove(cf, primes=(), t_max=0)
     with pytest.raises(ValueError, match="duplicate"):
         prove(cf, primes=(2, 3, 2), t_max=0)
+
+
+def test_prove_tests_each_prime_by_one_trial_division(monkeypatch):
+    # every FixedLocusProfile, solve_mk and mk_elimination_equation tests its
+    # prime again; each distinct prime still costs one trial division (one
+    # isqrt) per process, on either branch
+    passes = []
+
+    def isqrt(n):
+        passes.append(n)
+        return math.isqrt(n)
+
+    monkeypatch.setattr(quotient, "math", SimpleNamespace(isqrt=isqrt))
+    c4_zero = parse_candidates(FOUR_PAIRS + "0,16\n")
+    for cf, t_max in ((builtin_candidates(), 0), (c4_zero, 2)):
+        quotient.is_prime.cache_clear()
+        passes.clear()
+        prove(cf, primes=(10007,), t_max=t_max)
+        assert passes == [10007]
+    for _ in range(2):  # a cached verdict still rejects a non-prime
+        with pytest.raises(ValueError, match="p must be prime"):
+            quotient.FixedLocusProfile(p=4, m=0, k=0, t=0)
 
 
 def _broken_fixed_locus(profile):
