@@ -33,10 +33,13 @@ Every (candidate, prime, t) triple must yield a certificate; a triple that
 refuses both branches aborts the run, because it would mean the verified
 chain of identities is broken.
 
-The fixed-locus identity chi_top = m + 24k + 0*t = 0 is checked once per
-(candidate, prime) as an affine form in t, which proves it for every t >= 0.
+Each identity is affine in t and is checked at t = 0 and t = 1, which proves
+it for every t >= 0: the fixed-locus identity chi_top = m + 24k + 0*t = 0 once
+per prime and prove call, and the Salamon balances and chi_top(W) = 0 once per
+Table1Exclusion (candidate, prime), whose b(W) at each t is read off the form.
 Certificates are held as runs that share all but t (``CertificateRun``): one
-per LefschetzMismatch (candidate, prime), one per Table1Exclusion t.
+per LefschetzMismatch (candidate, prime), one per Table1Exclusion t; the runs
+with equal chi_top(X) and p share one details object.
 ``prove`` returns them as ``Certificates`` (the runs, ``len``, iteration in
 sweep order and ``branch_counts()``), the value ``emit_report`` serializes.
 """
@@ -375,8 +378,9 @@ def prove(
         if not is_prime(p):
             raise ValueError(f"not a prime: {p}")
     runs: list[CertificateRun] = []
+    shared: dict[object, dict[str, object]] = {}
     for b2, b3 in candidates.pairs:
-        runs += _prove_candidate(b2, b3, primes, t_max)
+        runs += _prove_candidate(b2, b3, primes, t_max, shared)
     certificates = Certificates(runs)
     expected = len(candidates.pairs) * len(primes) * (t_max + 1)
     if len(certificates) != expected:
@@ -391,8 +395,12 @@ def prove(
 
 
 def _prove_candidate(
-    b2: int, b3: int, primes: tuple[int, ...], t_max: int
+    b2: int, b3: int, primes: tuple[int, ...], t_max: int,
+    shared: dict[object, dict[str, object]],
 ) -> list[CertificateRun]:
+    """The runs of one candidate.  ``shared`` holds the details that one prove
+    call computes once, at the first candidate needing them, keyed by what they
+    depend on: p, (chi_top(X), p), or nothing (None, the zero-chi values)."""
     bX = betti_from_pair(b2, b3)
     chi_X = euler_characteristic(bX)
     chern = chern_from_betti(b2, b3)
@@ -403,52 +411,41 @@ def _prove_candidate(
         )
     candidate = (b2, b3)
     ts = range(t_max + 1)
-    singles = [ts[t:t + 1] for t in ts]  # the ts of a Table1Exclusion run, one per t
     out: list[CertificateRun] = []
     for p in primes:
-        m, k = solve_mk(p)
-        # chi_top of the fixed locus is affine in t: zero value and slope
-        # prove it zero for every t >= 0
-        chi_fixed = lefschetz_euler_fixed(FixedLocusProfile(p=p, m=m, k=k, t=0))
-        slope = lefschetz_euler_fixed(FixedLocusProfile(p=p, m=m, k=k, t=1)) - chi_fixed
-        if chi_fixed != 0 or slope != 0:
-            t = 0 if chi_fixed != 0 else 1
-            got = chi_fixed + slope * t
-            raise VerificationError(
-                f"fixed locus of {t} tori must have chi_top 0, got {got}",
-                candidate=candidate, prime=p, t=t, identity="chi_top_fixed_locus",
-            )
-        details: dict[str, object] = {
-            "chi_top_X": chi_X,
-            "chi_top_fixed_locus": chi_fixed,
-            "m": m,
-            "k": k,
-            "mk_elimination": mk_elimination_equation(p),
-        }
-        if chi_X != chi_fixed:
+        if p not in shared:
+            shared[p] = _prime_details(candidate, p)
+        details = shared.get((chi_X, p))
+        if details is None:
+            details = shared[chi_X, p] = {"chi_top_X": chi_X, **shared[p]}
+        if chi_X != details["chi_top_fixed_locus"]:
             out.append(CertificateRun(
                 candidate, p, ts, Branch.LEFSCHETZ_MISMATCH, details,
                 _HYPOTHESES_COMMON,
             ))
             continue
         # chi_top(X) = 0: pass through the quotient to the resolution W.  The
-        # chi_top_W check in the t loop pins c4(W) to 0, so the values that
-        # read only c4(W) are computed once, before that loop.
-        roots = admits_zero_chi(0)
-        if roots:
-            raise VerificationError(
-                f"no contradiction: chi = 0 admits rational roots {sorted(roots)} "
-                f"at c4 = 0 for ({b2}, {b3}), p={p}, t=0",
-                candidate=candidate, prime=p, t=0, identity="zero_chi_W",
-            )
-        d = delta(0)
-        zero_chi = {
-            "delta": d,
-            "delta_sqrt": rational_sqrt_exact(d),
-            "lambda_roots": tuple(sorted(roots)),
-        }
-        for t in ts:
-            profile = FixedLocusProfile(p=p, m=m, k=k, t=t)
+        # checks below pin c4(W) to 0, so the values that read only c4(W) are
+        # computed once per prove call, before them.
+        if None not in shared:
+            roots = admits_zero_chi(0)
+            if roots:
+                raise VerificationError(
+                    f"no contradiction: chi = 0 admits rational roots {sorted(roots)} "
+                    f"at c4 = 0 for ({b2}, {b3}), p={p}, t=0",
+                    candidate=candidate, prime=p, t=0, identity="zero_chi_W",
+                )
+            d = delta(0)
+            shared[None] = {
+                "salamon_defect_W": 0,
+                "c4_W": 0,  # c4 equals chi_top on the hyperkahler resolution
+                "delta": d,
+                "delta_sqrt": rational_sqrt_exact(d),
+                "lambda_roots": tuple(sorted(roots)),
+            }
+        forms = []  # b(W) at t = 0 and t = 1
+        for t in (0, 1):
+            profile = FixedLocusProfile(p=p, m=details["m"], k=details["k"], t=t)
             bY = bX  # numerical triviality copies the Betti table
             bW = transport_betti(bY, profile)
             if salamon_defect(bW) != 0:
@@ -468,18 +465,29 @@ def _prove_candidate(
                     f"chi_top(W) = {chi_W} should vanish for ({b2}, {b3}), p={p}, t={t}",
                     candidate=candidate, prime=p, t=t, identity="chi_top_W",
                 )
-            exclusion = {
-                **details,
-                "betti_W": bW.b,
-                "salamon_defect_W": 0,
-                "c4_W": chi_W,  # c4 equals chi_top on the hyperkahler resolution
-                **zero_chi,
-            }
+            forms.append(bW.b)
+        for t in ts:
+            betti_W = tuple([x + (y - x) * t for x, y in zip(*forms)])
             out.append(CertificateRun(
-                candidate, p, singles[t], Branch.TABLE1_EXCLUSION,
-                exclusion, _HYPOTHESES_EXCLUSION,
+                candidate, p, range(t, t + 1), Branch.TABLE1_EXCLUSION,
+                {**details, "betti_W": betti_W, **shared[None]}, _HYPOTHESES_EXCLUSION,
             ))
     return out
+
+
+def _prime_details(candidate: tuple[int, int], p: int) -> dict[str, object]:
+    """The details of prime p, which no candidate changes; a broken
+    fixed-locus identity is reported at ``candidate``."""
+    m, k = solve_mk(p)
+    for t in (0, 1):  # chi_top of the fixed locus is affine in t
+        got = lefschetz_euler_fixed(FixedLocusProfile(p=p, m=m, k=k, t=t))
+        if got != 0:
+            raise VerificationError(
+                f"fixed locus of {t} tori must have chi_top 0, got {got}",
+                candidate=candidate, prime=p, t=t, identity="chi_top_fixed_locus",
+            )
+    elimination = mk_elimination_equation(p)
+    return {"chi_top_fixed_locus": 0, "m": m, "k": k, "mk_elimination": elimination}
 
 
 def verify_certificate(cert: Certificate) -> None:
@@ -566,21 +574,21 @@ def _json_block(value: object, indent: str = "") -> str:
 
 
 class _Rows(list):
-    """The items of an array under a top-level report key, each already
-    rendered as ASCII bytes indented for that place."""
+    """The items of an array under a top-level report key as ASCII bytes
+    pieces: their concatenation is the items, each indented for that place
+    and followed by ",\\n    " (which _json_document drops after the last)."""
 
 
 def _json_document(fields: dict[str, object]) -> bytes:
     """``json.dumps(fields, indent=2) + "\\n"`` as bytes, for a nonempty
-    ``fields``.  The report is joined once: _Rows items go in as they are."""
+    ``fields``.  The report is joined once: _Rows pieces go in as they are."""
     parts = [b"{\n  "]
     for key, value in fields.items():
         parts.append(f"{_json_str(key)}: ".encode())
         if isinstance(value, _Rows) and value:
-            rows = [b",\n    "] * (2 * len(value) - 1)
-            rows[::2] = value
             parts.append(b"[\n    ")
-            parts += rows
+            parts += value
+            parts[-1] = parts[-1].removesuffix(b",\n    ")
             parts.append(b"\n  ]")
         else:
             parts.append(_json_block(value, "  ").encode())
@@ -668,28 +676,34 @@ _CERT_TAIL_JSON = (
     ',\n      "branch": {},\n'
     '      "details": {},\n'
     '      "hypotheses": {}\n'
-    "    }}"
+    "    }},\n    "
 ).format
 
 
 def _cert_rows(runs: Iterable[CertificateRun]) -> _Rows:
-    """The JSON items of ``runs``, one per run holding its certificates.
-    Each hypotheses tuple is rendered once, keyed on its id: the caller's
-    runs keep every tuple alive for the whole call."""
+    """The JSON pieces (head, t, tail) of each certificate of ``runs``.  A tail
+    is rendered once per distinct (branch, details, hypotheses) objects, and
+    each hypotheses tuple once, keyed on ids: the caller's runs keep every
+    object alive for the whole call."""
     t_texts: dict[range, list[bytes]] = {}
+    tails: dict[tuple[int, int, int], bytes] = {}
     hypotheses_texts: dict[int, str] = {}
     rows = _Rows()
     for (b2, b3), p, ts, branch, details, hypotheses in runs:
+        key = (id(branch), id(details), id(hypotheses))
+        tail = tails.get(key)
+        if tail is None:
+            if id(hypotheses) not in hypotheses_texts:
+                hypotheses_texts[id(hypotheses)] = _json_block(hypotheses, "      ")
+            tail = tails[key] = _CERT_TAIL_JSON(
+                _json_str(branch.value), _json_block(details, "      "),
+                hypotheses_texts[id(hypotheses)],
+            ).encode()
         if ts not in t_texts:
             t_texts[ts] = [b"%d" % t for t in ts]
-        if id(hypotheses) not in hypotheses_texts:
-            hypotheses_texts[id(hypotheses)] = _json_block(hypotheses, "      ")
-        head = _CERT_HEAD_JSON % (b2, b3, p)
-        tail = _CERT_TAIL_JSON(
-            _json_str(branch.value), _json_block(details, "      "),
-            hypotheses_texts[id(hypotheses)],
-        ).encode()
-        rows.append(head + (tail + b",\n    " + head).join(t_texts[ts]) + tail)
+        pieces = [_CERT_HEAD_JSON % (b2, b3, p), b"", tail] * len(ts)
+        pieces[1::3] = t_texts[ts]
+        rows += pieces
     return rows
 
 
@@ -789,7 +803,7 @@ _RECORD_TAIL_JSON = (
     '      "delta_sqrt": {},\n'
     '      "lambda_roots": {},\n'
     '      "accepted": {}\n'
-    "    }}"
+    "    }},\n    "
 ).format
 
 

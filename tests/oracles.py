@@ -5,12 +5,12 @@ Kuenneth product behind the Betti transport."""
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from hk4verify.exact import rational_sqrt_exact
-from hk4verify.quotient import is_prime
 from hk4verify.topology import (
     BettiTable,
     InadmissiblePairError,
@@ -170,6 +170,11 @@ class ExceptionalFiber:
             for j, bc in enumerate(self.chain_betti()):
                 out[i + j] += bs * bc
         return BettiTable(tuple(out))
+
+
+def is_prime(n: int) -> bool:
+    """Trial division by every d with d * d <= n."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def exceptional_betti(surface: SurfaceProfile, p: int) -> BettiTable:

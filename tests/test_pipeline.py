@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import time
 from types import SimpleNamespace
 from fractions import Fraction as F
 
@@ -31,6 +32,7 @@ from hk4verify.pipeline import (
 )
 from hk4verify.exact import format_rational
 from hk4verify.riemann_roch import filter_candidates
+from hk4verify.quotient import FixedLocusProfile, transport_betti
 from hk4verify.topology import BettiTable, InadmissiblePairError, betti_from_pair
 from oracles import ReferenceFormatError, read_rows_by_tokens
 
@@ -314,6 +316,25 @@ def test_prove_totality_over_admissible_rectangle():
         assert cert.branch is expected
 
 
+def test_prove_lefschetz_only_sweep_builds_nothing_per_t():
+    started = time.perf_counter()
+    certs = prove(builtin_candidates(), t_max=10**7)
+    elapsed = time.perf_counter() - started
+    assert len(certs.runs) == 4 * 6
+    assert len(certs) == 4 * 6 * (10**7 + 1)
+    assert elapsed < 0.5, elapsed
+
+
+def test_prove_exclusion_betti_w_is_the_transport_at_each_t():
+    cf = parse_candidates("b2,b3\n" + "".join(f"{b2},{16 + 4 * b2}\n" for b2 in range(6)))
+    certs = prove(cf, t_max=40)
+    assert certs.branch_counts() == {"LefschetzMismatch": 0, "Table1Exclusion": 6 * 6 * 41}
+    for cert in certs:
+        profile = FixedLocusProfile(p=cert.prime, m=0, k=0, t=cert.t)
+        bW = transport_betti(betti_from_pair(*cert.candidate), profile)
+        assert cert.details["betti_W"] == bW.b
+
+
 def test_prove_input_validation():
     cf = builtin_candidates()
     with pytest.raises(ValueError):
@@ -382,6 +403,33 @@ def test_verification_error_names_triple_and_identity(
     assert (err.candidate, err.prime, err.t, err.identity) == ((4, 32), 3, 1, identity)
 
 
+def _broken_transport_chi(bY, profile):
+    b = list(bY.b)
+    b[0] += profile.t  # Salamon defect unchanged, chi_top(W) = t
+    return BettiTable(tuple(b))
+
+
+@pytest.mark.parametrize(
+    "broken, message, identity",
+    [
+        (_broken_transport,
+         "transported Salamon defect nonzero for (4, 32), p=3, t=1: -10", "salamon_W"),
+        (_broken_transport_chi,
+         "chi_top(W) = 1 should vanish for (4, 32), p=3, t=1", "chi_top_W"),
+    ],
+    ids=["salamon", "chi_top"],
+)
+def test_transport_broken_in_its_slope_fails_at_t_1_even_with_t_max_0(
+    monkeypatch, broken, message, identity
+):
+    monkeypatch.setattr("hk4verify.pipeline.transport_betti", broken)
+    with pytest.raises(VerificationError) as exc:
+        prove(parse_candidates("b2,b3\n23,0\n4,32\n"), primes=(3, 2), t_max=0)
+    assert str(exc.value) == message
+    err = exc.value
+    assert (err.candidate, err.prime, err.t, err.identity) == ((4, 32), 3, 1, identity)
+
+
 @pytest.mark.parametrize(
     "broken, t, message",
     [
@@ -413,6 +461,19 @@ def test_lefschetz_certificates_of_one_candidate_and_prime_share_details():
         shared = candidate == (23, 0)  # LefschetzMismatch; (4, 32) is c4 = 0
         assert all((d is details[0]) == shared for d in details[1:])
     assert len({id(d) for ds in by_prime.values() for d in ds}) == 2 + 2 * 3
+
+
+def test_lefschetz_runs_with_equal_chi_top_x_and_prime_share_details():
+    # c4 = 324 on both pairs; (4, 32) has c4 = 0
+    cf = parse_candidates("b2,b3\n23,0\n4,32\n24,4\n")
+    runs = prove(cf, primes=(2, 3), t_max=1).runs
+    lefschetz = [run for run in runs if run.branch is Branch.LEFSCHETZ_MISMATCH]
+    assert [(run.candidate, run.prime) for run in lefschetz] == [
+        ((23, 0), 2), ((23, 0), 3), ((24, 4), 2), ((24, 4), 3),
+    ]
+    assert lefschetz[0].details is lefschetz[2].details
+    assert lefschetz[1].details is lefschetz[3].details
+    assert lefschetz[0].details is not lefschetz[1].details
 
 
 def test_verify_certificate_rejects_tampering():
@@ -692,6 +753,16 @@ def test_emit_report_json_layout_and_digest_on_b2_le_3_region():
     }
     assert hashlib.sha256(blob).hexdigest() == (
         "00d5f33e80bcb33a8810032666a73ecd3644a452eb463f1a82556c35f4e121e2"
+    )
+
+
+def test_emit_report_json_digest_on_b2_le_9_region():
+    # 465 pairs, 58,590 certificates, 56.5 MB; LefschetzMismatch runs of
+    # different candidates share details objects, and so tails
+    cf = parse_candidates(_region_text(9))
+    blob = emit_report(prove(cf), "json", input_digest=cf.digest)
+    assert hashlib.sha256(blob).hexdigest() == (
+        "47d7eb70d1984bd226824abdbf51eca46bdf75f2e45616768af854696d1c9e97"
     )
 
 

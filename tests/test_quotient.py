@@ -1,5 +1,6 @@
 import pytest
 
+from hk4verify.pipeline import DEFAULT_PRIMES
 from hk4verify.quotient import (
     FixedLocusProfile,
     is_prime,
@@ -18,6 +19,7 @@ from hk4verify.topology import (
     salamon_defect,
 )
 from oracles import ExceptionalFiber, exceptional_betti
+from oracles import is_prime as reference_is_prime
 
 PRIMES = (2, 3, 5, 7, 11)
 PAIRS = [(23, 0), (7, 8), (6, 4), (5, 0), (4, 32), (0, 0)]
@@ -25,6 +27,10 @@ PAIRS = [(23, 0), (7, 8), (6, 4), (5, 0), (4, 32), (0, 0)]
 
 def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def test_is_prime_matches_the_oracle():
+    assert all(is_prime(n) == reference_is_prime(n) for n in range(-5, 2000))
 
 
 def test_exceptional_betti_k3_order2():
@@ -82,6 +88,20 @@ def test_transport_matches_kuenneth_oracle():
                     assert [w - y for w, y in zip(bW.b, bY.b)] == [
                         k * a + t * b for a, b in zip(k3, torus)
                     ]
+
+
+@pytest.mark.parametrize("p", DEFAULT_PRIMES)
+def test_transport_is_affine_in_t(p):
+    # prove reads betti_W at every t off the transport at t = 0 and t = 1
+    k3 = _kuenneth_increment(K3_SURFACE, p)
+    torus = _kuenneth_increment(TORUS_SURFACE, p)
+    for b2, b3 in PAIRS:
+        bY = betti_from_pair(b2, b3)
+        for k in (0, 1):
+            at_0 = [y + k * a for y, a in zip(bY.b, k3)]
+            for t in range(51):
+                bW = transport_betti(bY, FixedLocusProfile(p=p, m=0, k=k, t=t))
+                assert list(bW.b) == [w + t * c for w, c in zip(at_0, torus)]
 
 
 def test_transport_k3_component_order2():
