@@ -52,7 +52,6 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -129,8 +128,7 @@ class CandidateRow(NamedTuple):
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class CandidateFile:
+class CandidateFile(NamedTuple):
     """The valid ``pairs`` in file order, the line of each, and a CandidateRow
     per ``flagged`` row; ``rows`` builds every data row, in line order, on demand."""
 

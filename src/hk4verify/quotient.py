@@ -17,24 +17,45 @@ cohomology, under which each exceptional fiber contributes additively:
 The degree-2..4 instances are the classical statement; applying the rule in
 every degree is forced by needing total Euler characteristics, and the result
 still satisfies Poincare duality.
+
+is_prime is deterministic Miller-Rabin on the 13 prime bases 2..41, exact
+below 3.3 * 10^24 (Sorenson and Webster, Math. Comp. 86, 2017); it refuses
+larger n with ValueError rather than give a probabilistic verdict.
 """
 
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .topology import BettiTable, K3_SURFACE, TORUS_SURFACE, salamon_defect
+from .topology import (
+    K3_BETTI, TORUS2_BETTI, BettiTable, euler_characteristic, salamon_defect,
+)
+
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 
 
-@functools.cache  # one trial division per distinct n and process
+@functools.cache  # one test per distinct n and process
 def is_prime(n: int) -> bool:
+    """Whether n is prime; ValueError for n >= _MILLER_RABIN_BOUND."""
+    if n >= _MILLER_RABIN_BOUND:
+        raise ValueError(
+            f"cannot decide whether {n} is prime: Miller-Rabin on bases 2..41 "
+            f"is exact only below {_MILLER_RABIN_BOUND}"
+        )
     if n < 2:
         return False
-    for d in range(2, math.isqrt(n) + 1):
-        if n % d == 0:
-            return False
+    for a in _MILLER_RABIN_BASES:  # Miller-Rabin below needs odd n > 41
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0  # n - 1 = d * 2^s with d odd
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
+            return False  # a witnesses that n is composite
     return True
 
 
@@ -43,20 +64,25 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"p must be prime, got {p}")
 
 
-@dataclass(frozen=True)
-class FixedLocusProfile:
-    """Counts (m, k, t) of isolated points, K3 components and torus
-    components in the fixed locus of an order-p automorphism."""
-
+class _FixedLocusProfile(NamedTuple):
     p: int
     m: int
     k: int
     t: int
 
-    def __post_init__(self) -> None:
-        _require_prime(self.p)
-        if self.m < 0 or self.k < 0 or self.t < 0:
+
+class FixedLocusProfile(_FixedLocusProfile):
+    """Counts (m, k, t) of isolated points, K3 components and torus
+    components in the fixed locus of an order-p automorphism."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, m: int, k: int, t: int) -> FixedLocusProfile:
+        self = super().__new__(cls, p, m, k, t)
+        _require_prime(p)
+        if m < 0 or k < 0 or t < 0:
             raise ValueError(f"component counts must be nonnegative: {self}")
+        return self
 
 
 def transport_betti(bY: BettiTable, profile: FixedLocusProfile) -> BettiTable:
@@ -72,10 +98,8 @@ def transport_betti(bY: BettiTable, profile: FixedLocusProfile) -> BettiTable:
     """
     scale = profile.p - 1
     w = list(bY.b)
-    for surface, count in ((K3_SURFACE, profile.k), (TORUS_SURFACE, profile.t)):
-        if count == 0:
-            continue
-        for i, bs in enumerate(surface.full_betti()):
+    for surface, count in ((K3_BETTI, profile.k), (TORUS2_BETTI, profile.t)):
+        for i, bs in enumerate(surface):
             w[i + 2] += scale * count * bs
     return BettiTable(tuple(w), strict_hk=bY.strict_hk)
 
@@ -98,8 +122,8 @@ def lefschetz_euler_fixed(profile: FixedLocusProfile) -> int:
     """
     return (
         profile.m * 1
-        + profile.k * K3_SURFACE.euler_characteristic()
-        + profile.t * TORUS_SURFACE.euler_characteristic()
+        + profile.k * euler_characteristic(BettiTable(K3_BETTI))
+        + profile.t * euler_characteristic(BettiTable(TORUS2_BETTI))
     )
 
 

@@ -36,8 +36,8 @@ that record's values for every pair with the same c4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import int_sqrt_exact
 from .topology import ChernData, chern_from_betti
@@ -46,10 +46,7 @@ from .topology import ChernData, chern_from_betti
 _DELTA_DENOMINATOR = 864 * 864
 
 
-@dataclass(frozen=True)
-class CandidateRecord:
-    """Outcome of the rational-square filter on one (b2, b3) candidate."""
-
+class _CandidateRecord(NamedTuple):
     b2: int
     b3: int
     chern: ChernData
@@ -58,11 +55,19 @@ class CandidateRecord:
     lambda_roots: frozenset[Fraction]
     accepted: bool
 
-    def __post_init__(self) -> None:
+
+class CandidateRecord(_CandidateRecord):
+    """Outcome of the rational-square filter on one (b2, b3) candidate."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> CandidateRecord:
+        self = super().__new__(cls, *args, **kwargs)
         if self.accepted != bool(self.lambda_roots):
             raise ValueError("accepted must mirror root-set nonemptiness")
         if self.delta_sqrt is not None and self.delta_sqrt**2 != self.delta:
             raise ValueError("delta_sqrt does not square to delta")
+        return self
 
 
 def rr_chi_hk(c4: int, lam: Fraction) -> Fraction:

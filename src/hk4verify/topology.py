@@ -7,98 +7,54 @@ the missing top degrees, so Euler characteristics and degree-shifting
 transport act on total data.  The ``strict_hk`` flag opts into the invariants
 of a compact hyperkahler 4-fold; it is a flag rather than unconditional so
 that quotient spaces, which are not manifolds, fit in the same type.
+
+The fixed surfaces of the quotient transport are plain data: K3_BETTI and
+TORUS2_BETTI are b0..b4 of a K3 surface and of a complex 2-torus.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
+from typing import Iterable, NamedTuple
+
+K3_BETTI = (1, 0, 22, 0, 1)
+TORUS2_BETTI = (1, 4, 6, 4, 1)
 
 
 class InadmissiblePairError(ValueError):
     """A (b2, b3) pair that no compact hyperkahler 4-fold can carry."""
 
 
-@dataclass(frozen=True)
-class BettiTable:
-    """Betti numbers b0..b8; shorter input sequences are zero-padded."""
-
+class _BettiTable(NamedTuple):
     b: tuple[int, ...]
     strict_hk: bool = False
 
-    def __post_init__(self) -> None:
-        entries = tuple(int(x) for x in self.b)
-        if len(entries) > 9:
-            raise ValueError(f"at most 9 Betti numbers expected, got {len(entries)}")
-        entries = entries + (0,) * (9 - len(entries))
-        if any(x < 0 for x in entries):
-            raise ValueError(f"negative Betti number in {entries}")
-        object.__setattr__(self, "b", entries)
-        if self.strict_hk:
-            self._check_strict()
 
-    def _check_strict(self) -> None:
-        b = self.b
-        if b[0] != 1 or b[8] != 1 or b[1] != 0 or b[7] != 0:
-            raise ValueError(f"not a hyperkahler 4-fold table: {b}")
-        if any(b[j] != b[8 - j] for j in range(9)):
-            raise ValueError(f"Poincare duality fails: {b}")
-        if b[3] % 2 != 0:
-            raise ValueError(f"odd b3 = {b[3]} is impossible on a hyperkahler 4-fold")
+class BettiTable(_BettiTable):
+    """Betti numbers b0..b8, zero-padded from shorter input; ``bt[j]`` is b_j."""
 
-    def __getitem__(self, j: int) -> int:
+    __slots__ = ()
+
+    def __new__(cls, b: Iterable[int], strict_hk: bool = False) -> BettiTable:
+        b = tuple(int(x) for x in b)
+        if len(b) > 9:
+            raise ValueError(f"at most 9 Betti numbers expected, got {len(b)}")
+        b += (0,) * (9 - len(b))
+        if any(x < 0 for x in b):
+            raise ValueError(f"negative Betti number in {b}")
+        if strict_hk:
+            if b[0] != 1 or b[8] != 1 or b[1] != 0 or b[7] != 0:
+                raise ValueError(f"not a hyperkahler 4-fold table: {b}")
+            if any(b[j] != b[8 - j] for j in range(9)):
+                raise ValueError(f"Poincare duality fails: {b}")
+            if b[3] % 2 != 0:
+                raise ValueError(f"odd b3 = {b[3]} is impossible on a hyperkahler 4-fold")
+        return super().__new__(cls, b, strict_hk)
+
+    def __getitem__(self, j: int) -> int:  # type: ignore[override]
         return self.b[j]
 
 
-class SurfaceKind(Enum):
-    K3 = "K3"
-    TORUS2 = "Torus2"
-
-
-_SURFACE_TRIPLES = {
-    SurfaceKind.K3: (1, 0, 22),
-    SurfaceKind.TORUS2: (1, 4, 6),
-}
-
-
-@dataclass(frozen=True)
-class SurfaceProfile:
-    """A fixed-locus surface component: a K3 surface or a 2-dimensional
-    complex torus, with its Betti triple (b0, b1, b2)."""
-
-    kind: SurfaceKind
-    betti: tuple[int, int, int]
-
-    def __post_init__(self) -> None:
-        expected = _SURFACE_TRIPLES[self.kind]
-        triple = tuple(int(x) for x in self.betti)
-        if triple != expected:
-            raise ValueError(
-                f"{self.kind.value} surface must have Betti triple {expected}, "
-                f"got {triple}"
-            )
-        object.__setattr__(self, "betti", triple)
-
-    @classmethod
-    def of(cls, kind: SurfaceKind) -> "SurfaceProfile":
-        return cls(kind, _SURFACE_TRIPLES[kind])
-
-    def full_betti(self) -> tuple[int, int, int, int, int]:
-        """All five Betti numbers b0..b4, completing the triple by duality."""
-        b0, b1, b2 = self.betti
-        return (b0, b1, b2, b1, b0)
-
-    def euler_characteristic(self) -> int:
-        b0, b1, b2 = self.betti
-        return 2 * b0 - 2 * b1 + b2
-
-
-K3_SURFACE = SurfaceProfile.of(SurfaceKind.K3)
-TORUS_SURFACE = SurfaceProfile.of(SurfaceKind.TORUS2)
-
-
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(NamedTuple):
     """The Chern numbers (integral of c2^2, integral of c4) of a 4-fold."""
 
     c2sq: int

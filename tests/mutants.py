@@ -1,0 +1,124 @@
+"""Mutation check for tier-1: each mutant breaks one constant or check in
+src/hk4verify that the tests must catch.
+
+    python tests/mutants.py
+
+For each (file, old, new, why) mutant, src/ is copied to a fresh temporary
+directory, ``old`` is replaced by ``new`` in the copy, and tier-1 runs with
+-x against the copy; the mutant is killed when a test fails.  The unmutated
+copy runs first and must pass, so a broken environment cannot pass for a
+kill.  Exits 1 if a mutant survives or if an ``old`` text does not occur
+exactly once in its file.  Stdlib only; pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+MUTANTS = [
+    (
+        "topology.py",
+        "TORUS2_BETTI = (1, 4, 6, 4, 1)",
+        "TORUS2_BETTI = (1, 4, 5, 4, 1)",
+        "torus b2 6 -> 5",
+    ),
+    (
+        "topology.py",
+        "K3_BETTI = (1, 0, 22, 0, 1)",
+        "K3_BETTI = (1, 0, 21, 0, 1)",
+        "K3 b2 22 -> 21",
+    ),
+    (
+        "quotient.py",
+        "scale = profile.p - 1",
+        "scale = profile.p",
+        "transport_betti scales by p instead of p - 1",
+    ),
+    (
+        "topology.py",
+        "            if b[3] % 2 != 0:\n"
+        '                raise ValueError(f"odd b3 = {b[3]} is impossible on a '
+        'hyperkahler 4-fold")\n',
+        "",
+        "BettiTable drops the odd-b3 check",
+    ),
+    (
+        "quotient.py",
+        "        if m < 0 or k < 0 or t < 0:\n"
+        '            raise ValueError(f"component counts must be nonnegative: {self}")\n',
+        "",
+        "FixedLocusProfile drops the nonnegative-count check",
+    ),
+    (
+        "riemann_roch.py",
+        "        if self.accepted != bool(self.lambda_roots):\n"
+        '            raise ValueError("accepted must mirror root-set nonemptiness")\n',
+        "",
+        "CandidateRecord drops the accepted-mirrors-roots check",
+    ),
+    (
+        "quotient.py",
+        "29, 31, 37, 41)",
+        "29, 31, 37)",
+        "Miller-Rabin drops base 41",
+    ),
+]
+
+
+def tier1(src: Path, cwd: Path) -> int:
+    """pytest's exit code for tier-1 with -x, importing hk4verify from
+    ``src``; run in ``cwd`` so that the hypothesis database stays there."""
+    paths = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    command = [
+        sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+        "--continue-on-collection-errors", str(REPO / "tests"),
+    ]
+    return subprocess.run(command, cwd=cwd, env=env, stdout=subprocess.DEVNULL).returncode
+
+
+def run(mutant: tuple[str, str, str, str] | None = None) -> int:
+    """tier1 on a fresh copy of src/, with ``mutant`` applied if given; -1
+    if the mutant's old text does not occur exactly once in its file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(REPO / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        if mutant is not None:
+            name, old, new, _ = mutant
+            path = src / "hk4verify" / name
+            text = path.read_text()
+            if text.count(old) != 1:
+                return -1
+            path.write_text(text.replace(old, new))
+        return tier1(src, Path(tmp))
+
+
+def main() -> int:
+    code = run()
+    if code != 0:
+        print(f"the unmutated copy fails tier-1 (pytest exit {code})")
+        return 1
+    killed = 0
+    for mutant in MUTANTS:
+        code = run(mutant)
+        if code == -1:
+            verdict = "OLD TEXT NOT FOUND ONCE"
+        elif code == 1:  # the tests ran and one failed
+            verdict = "killed"
+            killed += 1
+        else:
+            verdict = f"NOT KILLED (pytest exit {code})"
+        print(f"{verdict}: {mutant[0]}: {mutant[3]}", flush=True)
+    print(f"{killed}/{len(MUTANTS)} mutants killed")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,11 +1,14 @@
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hk4verify
 from hk4verify.cli import main
 from test_pipeline import FLAGGED_ROWS
 
@@ -181,6 +184,10 @@ def test_prove_rejects_bad_sweep_parameters(tmp_path, capsys):
     assert main(["prove", "--primes", "4", "--out", str(out)]) == 1
     assert main(["prove", "--t-max", "-1", "--out", str(out)]) == 1
     assert main(["prove", "--primes", "2;3", "--out", str(out)]) == 1
+    # past the bound where Miller-Rabin on bases 2..41 is proven exact
+    assert main(["prove", "--primes", "3317044064679887385961981", "--out", str(out)]) == 1
+    assert "exact only below" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -295,6 +302,23 @@ def test_module_entry_point(tmp_path):
         text=True,
     )
     assert result.returncode == 1
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # both sit on every CLI call's start-up path once any module imports them
+    code = (
+        "import sys, hk4verify.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    )
+    src = Path(hk4verify.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("command", ["table1", "filter", "prove"])

@@ -1,9 +1,7 @@
 import hashlib
 import json
-import math
 import re
 import time
-from types import SimpleNamespace
 from fractions import Fraction as F
 
 import pytest
@@ -33,7 +31,12 @@ from hk4verify.pipeline import (
 from hk4verify.exact import format_rational
 from hk4verify.riemann_roch import filter_candidates
 from hk4verify.quotient import FixedLocusProfile, transport_betti
-from hk4verify.topology import BettiTable, InadmissiblePairError, betti_from_pair
+from hk4verify.topology import (
+    BettiTable,
+    InadmissiblePairError,
+    betti_from_pair,
+    chern_from_betti,
+)
 from oracles import ReferenceFormatError, read_rows_by_tokens
 
 FOUR_PAIRS = "b2,b3\n23,0\n7,8\n6,4\n5,0\n"
@@ -351,26 +354,42 @@ def test_prove_rejects_empty_and_duplicate_primes():
         prove(cf, primes=(2, 3, 2), t_max=0)
 
 
-def test_prove_tests_each_prime_by_one_trial_division(monkeypatch):
+def test_prove_tests_each_prime_once():
     # every FixedLocusProfile, solve_mk and mk_elimination_equation tests its
-    # prime again; each distinct prime still costs one trial division (one
-    # isqrt) per process, on either branch
-    passes = []
-
-    def isqrt(n):
-        passes.append(n)
-        return math.isqrt(n)
-
-    monkeypatch.setattr(quotient, "math", SimpleNamespace(isqrt=isqrt))
+    # prime again; each distinct prime still costs one primality test per
+    # process, on either branch
     c4_zero = parse_candidates(FOUR_PAIRS + "0,16\n")
     for cf, t_max in ((builtin_candidates(), 0), (c4_zero, 2)):
         quotient.is_prime.cache_clear()
-        passes.clear()
         prove(cf, primes=(10007,), t_max=t_max)
-        assert passes == [10007]
+        assert quotient.is_prime.cache_info().misses == 1
     for _ in range(2):  # a cached verdict still rejects a non-prime
         with pytest.raises(ValueError, match="p must be prime"):
             quotient.FixedLocusProfile(p=4, m=0, k=0, t=0)
+
+
+def test_prove_with_a_16_digit_prime_is_fast():
+    quotient.is_prime.cache_clear()
+    started = time.perf_counter()
+    certs = prove(builtin_candidates(), primes=(9999999999999937,), t_max=0)
+    assert time.perf_counter() - started < 1.0
+    assert len(certs) == 4
+
+
+def test_value_types_are_immutable():
+    # the package docstring promises that all values are immutable
+    values = [
+        (BettiTable((1, 0, 22, 0, 1)), "b"),
+        (chern_from_betti(23, 0), "c4"),
+        (FixedLocusProfile(p=2, m=0, k=0, t=0), "t"),
+        (filter_candidates([(23, 0)])[0], "accepted"),
+        (builtin_candidates(), "pairs"),
+    ]
+    for value, field in values:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+        with pytest.raises(AttributeError):
+            value.extra = 1
 
 
 def _broken_fixed_locus(profile):

@@ -12,13 +12,11 @@ from hk4verify.quotient import (
 )
 from hk4verify.topology import (
     BettiTable,
-    K3_SURFACE,
-    TORUS_SURFACE,
     betti_from_pair,
     euler_characteristic,
     salamon_defect,
 )
-from oracles import ExceptionalFiber, exceptional_betti
+from oracles import K3_SURFACE, TORUS_SURFACE, ExceptionalFiber, exceptional_betti
 from oracles import is_prime as reference_is_prime
 
 PRIMES = (2, 3, 5, 7, 11)
@@ -30,7 +28,25 @@ def test_is_prime():
 
 
 def test_is_prime_matches_the_oracle():
-    assert all(is_prime(n) == reference_is_prime(n) for n in range(-5, 2000))
+    assert all(is_prime(n) == reference_is_prime(n) for n in range(-5, 10**5))
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        2047,  # strong pseudoprime to base 2
+        3215031751,  # to bases 2, 3, 5 and 7
+        3825123056546413051,  # to bases 2..31
+        318665857834031151167461,  # to bases 2..37; only base 41 catches it
+    ],
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_refuses_n_where_its_bases_are_not_proven():
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        is_prime(3317044064679887385961981)
 
 
 def test_exceptional_betti_k3_order2():
@@ -64,8 +80,8 @@ def test_exceptional_difference_identity():
     for p in PRIMES:
         for surface in (K3_SURFACE, TORUS_SURFACE):
             product = exceptional_betti(surface, p).b
-            s = BettiTable(surface.full_betti()).b
-            shifted = (0, 0) + surface.full_betti() + (0, 0)
+            s = BettiTable(surface).b
+            shifted = (0, 0) + surface + (0, 0)
             for j in range(9):
                 assert product[j] - s[j] == (p - 1) * shifted[j]
 
@@ -73,7 +89,7 @@ def test_exceptional_difference_identity():
 def _kuenneth_increment(surface, p):
     """b_j(S x C_p) - b_j(S) from the Kuenneth oracle."""
     product = exceptional_betti(surface, p).b
-    return [e - s for e, s in zip(product, BettiTable(surface.full_betti()).b)]
+    return [e - s for e, s in zip(product, BettiTable(surface).b)]
 
 
 def test_transport_matches_kuenneth_oracle():

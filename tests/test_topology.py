@@ -6,10 +6,8 @@ from hk4verify.topology import (
     BettiTable,
     ChernData,
     InadmissiblePairError,
-    K3_SURFACE,
-    SurfaceKind,
-    SurfaceProfile,
-    TORUS_SURFACE,
+    K3_BETTI,
+    TORUS2_BETTI,
     betti_from_pair,
     chern_from_betti,
     euler_characteristic,
@@ -117,15 +115,8 @@ def test_strict_flag_validation():
     BettiTable((1, 0, 5, 0, 96, 0, 6, 0, 1))
 
 
-def test_surface_profiles():
-    assert K3_SURFACE.betti == (1, 0, 22)
-    assert TORUS_SURFACE.betti == (1, 4, 6)
-    assert K3_SURFACE.full_betti() == (1, 0, 22, 0, 1)
-    assert TORUS_SURFACE.full_betti() == (1, 4, 6, 4, 1)
-    assert K3_SURFACE.euler_characteristic() == 24
-    assert TORUS_SURFACE.euler_characteristic() == 0
-
-
-def test_surface_profile_rejects_wrong_triple():
-    with pytest.raises(ValueError):
-        SurfaceProfile(SurfaceKind.K3, (1, 4, 6))
+def test_surface_betti_constants():
+    assert K3_BETTI == (1, 0, 22, 0, 1)
+    assert TORUS2_BETTI == (1, 4, 6, 4, 1)
+    assert euler_characteristic(BettiTable(K3_BETTI)) == 24
+    assert euler_characteristic(BettiTable(TORUS2_BETTI)) == 0
