@@ -10,7 +10,6 @@ import argparse
 import re
 import sys
 import time
-from pathlib import Path
 
 from ._version import __version__
 from .exact import format_rational, parse_rational, rational_sqrt_exact
@@ -20,11 +19,11 @@ from .pipeline import (
     DEFAULT_T_MAX,
     VerificationError,
     builtin_candidates,
-    emit_filter_report,
-    emit_report,
+    filter_report_chunks,
     load_candidates,
     parse_int_field,
     prove,
+    report_chunks,
     table1,
 )
 from .quotient import (
@@ -108,7 +107,9 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 def _cmd_filter(args: argparse.Namespace) -> int:
     cf = _candidates(args)
-    Path(args.out).write_bytes(emit_filter_report(cf))
+    chunks = filter_report_chunks(cf)  # renders the rows; --out is opened after
+    with open(args.out, "wb") as out:
+        out.writelines(chunks)
     print(f"wrote filter report for {len(cf.pairs) + len(cf.flagged)} rows to {args.out}")
     return 0
 
@@ -119,9 +120,9 @@ def _cmd_prove(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     certs = prove(cf, primes=args.primes, t_max=args.t_max)
     elapsed = time.perf_counter() - started
-    Path(args.out).write_bytes(
-        emit_report(certs, args.format, input_digest=cf.digest)
-    )
+    chunks = report_chunks(certs, args.format, input_digest=cf.digest)
+    with open(args.out, "wb") as out:  # only once every check has passed
+        out.writelines(chunks)
     counts = certs.branch_counts()
     print(
         f"contradicted {len(certs)} (candidate, prime, t) triples in "

@@ -36,12 +36,13 @@ chain of identities is broken.
 Each identity is affine in t and is checked at t = 0 and t = 1, which proves
 it for every t >= 0: the fixed-locus identity chi_top = m + 24k + 0*t = 0 once
 per prime and prove call, and the Salamon balances and chi_top(W) = 0 once per
-Table1Exclusion (candidate, prime), whose b(W) at each t is read off the form.
-Certificates are held as runs that share all but t (``CertificateRun``): one
-per LefschetzMismatch (candidate, prime), one per Table1Exclusion t; the runs
-with equal chi_top(X) and p share one details object.
-``prove`` returns them as ``Certificates`` (the runs, ``len``, iteration in
-sweep order and ``branch_counts()``), the value ``emit_report`` serializes.
+Table1Exclusion (candidate, prime).  Certificates are held as runs that share
+all but t (``CertificateRun``), one per (candidate, prime) on either branch;
+the LefschetzMismatch runs with equal chi_top(X) and p share one details
+object, and a Table1Exclusion run keeps b(W) as the checked affine form in t
+(``AffineBetti``).  ``prove`` returns them as ``Certificates`` (the runs,
+``len``, iteration in sweep order and ``branch_counts()``), the value
+``report_chunks`` streams and ``emit_report`` joins.
 """
 
 from __future__ import annotations
@@ -169,9 +170,22 @@ class Certificate(NamedTuple):
     hypotheses: tuple[str, ...]
 
 
+class AffineBetti(NamedTuple):
+    """Betti numbers as an affine form in t: ``at(t)`` is ``base + slope*t``
+    entrywise."""
+
+    base: tuple[int, ...]
+    slope: tuple[int, ...]
+
+    def at(self, t: int) -> tuple[int, ...]:
+        return tuple([x + s * t for x, s in zip(self.base, self.slope)])
+
+
 class CertificateRun(NamedTuple):
     """The certificates of one (candidate, prime) for each t in ``ts``; they
-    differ only in t and share ``branch``, ``details`` and ``hypotheses``."""
+    differ only in t and share ``branch``, ``details`` and ``hypotheses``.
+    A ``details["betti_W"]`` that is an AffineBetti stands for its value at
+    each certificate's t."""
 
     candidate: tuple[int, int]
     prime: int
@@ -195,8 +209,11 @@ class Certificates:
     def __iter__(self) -> Iterator[Certificate]:
         make = Certificate._make  # tuple.__new__, without Certificate()'s keywords
         for candidate, p, ts, branch, details, hypotheses in self.runs:
+            form = details.get("betti_W")
+            affine = isinstance(form, AffineBetti)  # then details per t, with b(W) at t
             for t in ts:
-                yield make((candidate, p, t, branch, details, hypotheses))
+                at_t = {**details, "betti_W": form.at(t)} if affine else details
+                yield make((candidate, p, t, branch, at_t, hypotheses))
 
     def branch_counts(self) -> dict[str, int]:
         """Certificates per branch, keyed by branch name in Branch order."""
@@ -464,12 +481,12 @@ def _prove_candidate(
                     candidate=candidate, prime=p, t=t, identity="chi_top_W",
                 )
             forms.append(bW.b)
-        for t in ts:
-            betti_W = tuple([x + (y - x) * t for x, y in zip(*forms)])
-            out.append(CertificateRun(
-                candidate, p, range(t, t + 1), Branch.TABLE1_EXCLUSION,
-                {**details, "betti_W": betti_W, **shared[None]}, _HYPOTHESES_EXCLUSION,
-            ))
+        base, at_1 = forms
+        betti_W = AffineBetti(base, tuple([y - x for x, y in zip(base, at_1)]))
+        out.append(CertificateRun(
+            candidate, p, ts, Branch.TABLE1_EXCLUSION,
+            {**details, "betti_W": betti_W, **shared[None]}, _HYPOTHESES_EXCLUSION,
+        ))
     return out
 
 
@@ -531,7 +548,13 @@ def _certificate_error(
 # out exactly as json.dumps(value, indent=2) lays them out, but any indent
 # makes json.dumps use its pure-Python encoder, which walks every row.  Rows
 # are filled into fixed templates instead, and blocks that repeat between
-# rows are rendered once per report.
+# rows are rendered once per report.  A JSON report is joined in chunks of
+# _CHUNK_PIECES pieces, so no copy of the whole report is made unless a caller
+# asks for the bytes (emit_report, emit_filter_report).
+
+#: Pieces per chunk of a JSON report: about 0.6 MB of a prove report and
+#: 0.4 MB of a filter report, as fast to write as 1,024 or 4,096 pieces.
+_CHUNK_PIECES = 2048
 
 _json_str = json.encoder.encode_basestring_ascii
 
@@ -574,12 +597,13 @@ def _json_block(value: object, indent: str = "") -> str:
 class _Rows(list):
     """The items of an array under a top-level report key as ASCII bytes
     pieces: their concatenation is the items, each indented for that place
-    and followed by ",\\n    " (which _json_document drops after the last)."""
+    and followed by ",\\n    " (which _json_chunks drops after the last)."""
 
 
-def _json_document(fields: dict[str, object]) -> bytes:
+def _json_chunks(fields: dict[str, object]) -> Iterator[bytes]:
     """``json.dumps(fields, indent=2) + "\\n"`` as bytes, for a nonempty
-    ``fields``.  The report is joined once: _Rows pieces go in as they are."""
+    ``fields``, in chunks that each join _CHUNK_PIECES pieces (the last one
+    fewer); _Rows pieces go in as they are."""
     parts = [b"{\n  "]
     for key, value in fields.items():
         parts.append(f"{_json_str(key)}: ".encode())
@@ -592,7 +616,8 @@ def _json_document(fields: dict[str, object]) -> bytes:
             parts.append(_json_block(value, "  ").encode())
         parts.append(b",\n  ")
     parts[-1] = b"\n}\n"
-    return b"".join(parts)
+    for start in range(0, len(parts), _CHUNK_PIECES):
+        yield b"".join(parts[start:start + _CHUNK_PIECES])
 
 
 def _md_row(cells: Iterable[object]) -> str:
@@ -665,7 +690,9 @@ def _table_rows(
 
 #: One certificate, an item of the report's "certificates" array: the head
 #: (candidate, prime and the "t" key), t, and the tail (branch, details and
-#: hypotheses).  Head and tail are the same for every certificate of a run.
+#: hypotheses).  Head and tail are the same for every certificate of a run,
+#: except for the betti_W of an AffineBetti, which the tail renders as
+#: _BETTI_W_SLOT and is split at; _BETTI_W_JSON fills in its value at each t.
 _CERT_HEAD_JSON = (
     b'{\n      "candidate": [\n        %d,\n        %d\n      ],\n'
     b'      "prime": %d,\n      "t": '
@@ -676,15 +703,19 @@ _CERT_TAIL_JSON = (
     '      "hypotheses": {}\n'
     "    }},\n    "
 ).format
+_BETTI_W_SLOT = "\x00betti_W"
+_BETTI_W_JSON = b"[" + b",".join([b"\n          %d"] * 9) + b"\n        ]"  # b0..b8
 
 
 def _cert_rows(runs: Iterable[CertificateRun]) -> _Rows:
-    """The JSON pieces (head, t, tail) of each certificate of ``runs``.  A tail
-    is rendered once per distinct (branch, details, hypotheses) objects, and
-    each hypotheses tuple once, keyed on ids: the caller's runs keep every
-    object alive for the whole call."""
+    """The JSON pieces (head, t, tail) of each certificate of ``runs``, the
+    tail split around betti_W when that is an AffineBetti.  A tail is rendered
+    once per distinct (branch, details, hypotheses) objects, and each
+    hypotheses tuple once, keyed on ids: the caller's runs keep every object
+    alive for the whole call."""
+    slot = _json_str(_BETTI_W_SLOT).encode()
     t_texts: dict[range, list[bytes]] = {}
-    tails: dict[tuple[int, int, int], bytes] = {}
+    tails: dict[tuple[int, int, int], list[bytes]] = {}
     hypotheses_texts: dict[int, str] = {}
     rows = _Rows()
     for (b2, b3), p, ts, branch, details, hypotheses in runs:
@@ -693,27 +724,41 @@ def _cert_rows(runs: Iterable[CertificateRun]) -> _Rows:
         if tail is None:
             if id(hypotheses) not in hypotheses_texts:
                 hypotheses_texts[id(hypotheses)] = _json_block(hypotheses, "      ")
+            shown = details
+            if isinstance(details.get("betti_W"), AffineBetti):
+                shown = {**details, "betti_W": _BETTI_W_SLOT}
             tail = tails[key] = _CERT_TAIL_JSON(
-                _json_str(branch.value), _json_block(details, "      "),
+                _json_str(branch.value), _json_block(shown, "      "),
                 hypotheses_texts[id(hypotheses)],
-            ).encode()
+            ).encode().split(slot)
         if ts not in t_texts:
             t_texts[ts] = [b"%d" % t for t in ts]
-        pieces = [_CERT_HEAD_JSON % (b2, b3, p), b"", tail] * len(ts)
-        pieces[1::3] = t_texts[ts]
+        head = _CERT_HEAD_JSON % (b2, b3, p)
+        if len(tail) == 1:
+            pieces = [head, b"", tail[0]] * len(ts)
+            pieces[1::3] = t_texts[ts]
+        else:
+            pre, post = tail
+            form = details["betti_W"]
+            pieces = [head, b"", pre, b"", post] * len(ts)
+            pieces[1::5] = t_texts[ts]
+            pieces[3::5] = [_BETTI_W_JSON % form.at(t) for t in ts]
         rows += pieces
     return rows
 
 
-def emit_report(
+def report_chunks(
     certs: Certificates, fmt: str = "json", *, input_digest: str = ""
-) -> bytes:
-    """Serialize the certificates of a prove call deterministically.
+) -> Iterator[bytes]:
+    """Serialize the certificates of a prove call deterministically, as
+    chunks of bytes whose concatenation is the report.
 
     Certificates are sorted by (b2, b3, prime, t) by sorting the runs on
     (candidate, prime, first t); rationals are rendered as `p/q` strings; the
     tool version and the input-file digest are embedded.  Identical inputs
-    produce byte-identical output.
+    produce byte-identical output.  The rows are rendered here, so an
+    unsupported ``fmt`` raises ValueError before any chunk; JSON chunks are
+    joined as they are consumed, and csv or markdown is one chunk.
     """
     runs = sorted(certs.runs, key=lambda r: (r.candidate, r.prime, r.ts.start))
     if fmt == "json":
@@ -723,33 +768,40 @@ def emit_report(
             "branch_counts": certs.branch_counts(),
             "certificates": _cert_rows(runs),
         }
-        return _json_document(payload)
+        return _json_chunks(payload)
     if fmt == "csv":
         text = _render_table(
             fmt,
             _CERT_COLUMNS + ("version", "input_digest"),
             _table_rows(runs, __version__, input_digest),
         )
-        return text.encode("utf-8")
-    counts = certs.branch_counts()
-    preamble = [
-        "# Contradiction certificates",
-        "",
-        f"- version: {__version__}",
-        f"- input digest: {input_digest}",
-        f"- certificates: {len(certs)} ("
-        + ", ".join(f"{name}: {count}" for name, count in sorted(counts.items()))
-        + ")",
-        "",
-    ]
-    text = _render_table(
-        fmt,
-        _CERT_COLUMNS,
-        _table_rows(runs, no_roots="none"),
-        text_columns=("branch", "lambda_roots"),
-        preamble=preamble,
-    )
-    return text.encode("utf-8")
+    else:
+        counts = certs.branch_counts()
+        preamble = [
+            "# Contradiction certificates",
+            "",
+            f"- version: {__version__}",
+            f"- input digest: {input_digest}",
+            f"- certificates: {len(certs)} ("
+            + ", ".join(f"{name}: {count}" for name, count in sorted(counts.items()))
+            + ")",
+            "",
+        ]
+        text = _render_table(
+            fmt,
+            _CERT_COLUMNS,
+            _table_rows(runs, no_roots="none"),
+            text_columns=("branch", "lambda_roots"),
+            preamble=preamble,
+        )
+    return iter((text.encode("utf-8"),))
+
+
+def emit_report(
+    certs: Certificates, fmt: str = "json", *, input_digest: str = ""
+) -> bytes:
+    """The report of report_chunks as one bytes object."""
+    return b"".join(report_chunks(certs, fmt, input_digest=input_digest))
 
 
 def table1(candidates: CandidateFile, fmt: str = "markdown") -> str:
@@ -819,8 +871,9 @@ def _record_rows(pairs: Iterable[tuple[int, int]]) -> _Rows:
     return _Rows([_RECORD_JSON % row for row in _per_c4(pairs, _record_tail)])
 
 
-def emit_filter_report(candidates: CandidateFile) -> bytes:
-    """Full per-candidate filter outcomes, valid and flagged rows alike."""
+def filter_report_chunks(candidates: CandidateFile) -> Iterator[bytes]:
+    """Full per-candidate filter outcomes, valid and flagged rows alike, as
+    chunks of bytes whose concatenation is the report."""
     payload = {
         "version": __version__,
         "input_digest": candidates.digest,
@@ -831,4 +884,9 @@ def emit_filter_report(candidates: CandidateFile) -> bytes:
         "records": _record_rows(candidates.pairs),
         "invalid_rows": [row._asdict() for row in candidates.flagged],
     }
-    return _json_document(payload)
+    return _json_chunks(payload)
+
+
+def emit_filter_report(candidates: CandidateFile) -> bytes:
+    """The report of filter_report_chunks as one bytes object."""
+    return b"".join(filter_report_chunks(candidates))

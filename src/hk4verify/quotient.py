@@ -76,6 +76,7 @@ class FixedLocusProfile(_FixedLocusProfile):
     components in the fixed locus of an order-p automorphism."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # checked, and so is _replace
 
     def __new__(cls, p: int, m: int, k: int, t: int) -> FixedLocusProfile:
         self = super().__new__(cls, p, m, k, t)

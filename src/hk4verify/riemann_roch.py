@@ -60,6 +60,7 @@ class CandidateRecord(_CandidateRecord):
     """Outcome of the rational-square filter on one (b2, b3) candidate."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # checked, and so is _replace
 
     def __new__(cls, *args: object, **kwargs: object) -> CandidateRecord:
         self = super().__new__(cls, *args, **kwargs)

@@ -33,6 +33,7 @@ class BettiTable(_BettiTable):
     """Betti numbers b0..b8, zero-padded from shorter input; ``bt[j]`` is b_j."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # checked, and so is _replace
 
     def __new__(cls, b: Iterable[int], strict_hk: bool = False) -> BettiTable:
         b = tuple(int(x) for x in b)

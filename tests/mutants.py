@@ -1,5 +1,5 @@
-"""Mutation check for tier-1: each mutant breaks one constant or check in
-src/hk4verify that the tests must catch.
+"""Mutation check for tier-1: each mutant breaks one constant, check or step
+in src/hk4verify that the tests must catch.
 
     python tests/mutants.py
 
@@ -68,6 +68,63 @@ MUTANTS = [
         "29, 31, 37, 41)",
         "29, 31, 37)",
         "Miller-Rabin drops base 41",
+    ),
+    (
+        "pipeline.py",
+        "parts[start:start + _CHUNK_PIECES]",
+        "parts[start:start + _CHUNK_PIECES - 1]",
+        "a JSON chunk drops the last piece before its boundary",
+    ),
+    (
+        "pipeline.py",
+        "parts[start:start + _CHUNK_PIECES]",
+        "parts[start:start + _CHUNK_PIECES + 1]",
+        "a JSON chunk repeats the first piece after its boundary",
+    ),
+    (
+        "pipeline.py",
+        "x + s * t for x, s in",
+        "x + s * (t + 1) for x, s in",
+        "betti_W is expanded with the slope taken at t + 1",
+    ),
+    (
+        "riemann_roch.py",
+        "    n = u * (u - 2592)\n",
+        "    n = u * (u - 2590)\n",
+        "_zero_chi_data: 2592 -> 2590",
+    ),
+    (
+        "pipeline.py",
+        "            if first != lineno:\n"
+        "                flagged.append(CandidateRow(lineno, b2, b3, "
+        'f"duplicate of line {first}"))\n'
+        "                continue\n",
+        "",
+        "parse_candidates drops the duplicate-row check",
+    ),
+    (
+        "pipeline.py",
+        "    for t in (0, 1):  # chi_top of the fixed locus is affine in t\n",
+        "    for t in (0,):\n",
+        "the fixed-locus form is checked at t = 0 only",
+    ),
+    (
+        "pipeline.py",
+        "key = (id(branch), id(details), id(hypotheses))",
+        "key = (id(branch), id(details))",
+        "the JSON tail key drops hypotheses",
+    ),
+    (
+        "pipeline.py",
+        "make((candidate, p, ts[0], branch, details, hypotheses))",
+        "make((candidate, p, ts[-1], branch, details, hypotheses))",
+        "prove verifies a run at its last t",
+    ),
+    (
+        "pipeline.py",
+        "        c4 = c4_from_betti(b2, b3)\n        value = memo.get(c4)",
+        "        c4 = c4_from_betti(b2, b3) % 7\n        value = memo.get(c4)",
+        "_per_c4 keys its memo on c4 % 7",
     ),
 ]
 

@@ -10,7 +10,8 @@ import pytest
 
 import hk4verify
 from hk4verify.cli import main
-from test_pipeline import FLAGGED_ROWS
+from hk4verify.pipeline import emit_filter_report, filter_report_chunks, parse_candidates
+from test_pipeline import FLAGGED_ROWS, _region_text
 
 FOUR_PAIRS = "b2,b3\n23,0\n7,8\n6,4\n5,0\n"
 
@@ -284,6 +285,29 @@ def test_verification_failure_exits_2(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "verification failed: fixed locus of 1 tori must have chi_top 0, got 1\n"
     )
+    assert sorted(tmp_path.iterdir()) == []  # no report file, not even an empty one
+
+
+def test_prove_writes_the_pinned_report_on_b2_le_9_region(tmp_path):
+    # 56.5 MB in 88 chunks; the same sha256 as emit_report's in test_pipeline
+    src = tmp_path / "pairs.csv"
+    src.write_text(_region_text(9))
+    out = tmp_path / "r.json"
+    assert main(["prove", "--candidates", str(src), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "47d7eb70d1984bd226824abdbf51eca46bdf75f2e45616768af854696d1c9e97"
+    )
+
+
+def test_filter_writes_emit_filter_report_on_b2_le_30_region(tmp_path):
+    text = _region_text(30) + "0,48\n"  # 3,069 records and a flagged row
+    src = tmp_path / "pairs.csv"
+    src.write_text(text)
+    out = tmp_path / "filter.json"
+    assert main(["filter", "--candidates", str(src), "--out", str(out)]) == 0
+    cf = parse_candidates(text, path=str(src))
+    assert len(list(filter_report_chunks(cf))) > 1
+    assert out.read_bytes() == emit_filter_report(cf)
 
 
 def test_module_entry_point(tmp_path):

@@ -328,6 +328,26 @@ def test_prove_lefschetz_only_sweep_builds_nothing_per_t():
     assert elapsed < 0.5, elapsed
 
 
+def test_prove_exclusion_only_sweep_builds_nothing_per_t(monkeypatch):
+    built = []
+
+    def counted(*fields):  # one run per t fails here, long before memory runs out
+        built.append(fields[:3])
+        assert len(built) <= 4 * 6, built[-1]
+        return CertificateRun(*fields)
+
+    monkeypatch.setattr(pipeline, "CertificateRun", counted)
+    cf = parse_candidates("b2,b3\n" + "".join(f"{b2},{16 + 4 * b2}\n" for b2 in range(4)))
+    started = time.perf_counter()
+    certs = prove(cf, t_max=10**7)
+    elapsed = time.perf_counter() - started
+    assert len(certs.runs) == 4 * 6
+    assert certs.branch_counts() == {
+        "LefschetzMismatch": 0, "Table1Exclusion": 4 * 6 * (10**7 + 1),
+    }
+    assert elapsed < 0.5, elapsed
+
+
 def test_prove_exclusion_betti_w_is_the_transport_at_each_t():
     cf = parse_candidates("b2,b3\n" + "".join(f"{b2},{16 + 4 * b2}\n" for b2 in range(6)))
     certs = prove(cf, t_max=40)
@@ -390,6 +410,21 @@ def test_value_types_are_immutable():
             setattr(value, field, getattr(value, field))
         with pytest.raises(AttributeError):
             value.extra = 1
+
+
+def test_replace_and_make_run_the_constructor_checks():
+    values = [
+        (BettiTable((1, 0, 22, 0, 1)), {"b": (1, -1)}, "negative Betti number"),
+        (FixedLocusProfile(p=2, m=0, k=0, t=0), {"p": 4, "m": -1}, "p must be prime"),
+        (filter_candidates([(23, 0)])[0], {"accepted": False}, "accepted must mirror"),
+    ]
+    for value, changes, message in values:
+        with pytest.raises(ValueError, match=message):
+            value._replace(**changes)
+        fields = {**value._asdict(), **changes}
+        with pytest.raises(ValueError, match=message):
+            type(value)._make(fields[name] for name in value._fields)
+        assert value._replace() == value and type(value._replace()) is type(value)
 
 
 def _broken_fixed_locus(profile):
@@ -539,8 +574,8 @@ def test_certificates_sequence_matches_the_per_triple_sweep():
     listed = list(certs)
     assert len(certs) == len(listed) == len(sweep) == 126 * 2 * 4
     assert [(c.candidate, c.prime, c.t, c.branch) for c in listed] == sweep
-    # one LefschetzMismatch run per (candidate, prime), one Table1Exclusion run per t
-    assert len(certs.runs) == (126 - 4) * 2 + 4 * 2 * 4
+    # one run per (candidate, prime) on either branch
+    assert len(certs.runs) == 126 * 2
     assert certs.branch_counts() == {"LefschetzMismatch": 976, "Table1Exclusion": 32}
 
 
