@@ -544,13 +544,13 @@ def _certificate_error(
 # ---------------------------------------------------------------------------
 # Reports
 #
-# JSON text is written here rather than by json.dumps: the reports are laid
-# out exactly as json.dumps(value, indent=2) lays them out, but any indent
-# makes json.dumps use its pure-Python encoder, which walks every row.  Rows
-# are filled into fixed templates instead, and blocks that repeat between
-# rows are rendered once per report.  A JSON report is joined in chunks of
-# _CHUNK_PIECES pieces, so no copy of the whole report is made unless a caller
-# asks for the bytes (emit_report, emit_filter_report).
+# Rows are filled into fixed byte templates: any indent makes json.dumps use
+# its pure-Python encoder, which would walk every row.  Blocks that repeat
+# between rows are rendered once per report by json.JSONEncoder(indent=2), so
+# a report is laid out exactly as json.dumps(value, indent=2) lays it out.  A
+# JSON report is joined in chunks of _CHUNK_PIECES pieces, so no copy of the
+# whole report is made unless a caller asks for the bytes (emit_report,
+# emit_filter_report).
 
 #: Pieces per chunk of a JSON report: about 0.6 MB of a prove report and
 #: 0.4 MB of a filter report, as fast to write as 1,024 or 4,096 pieces.
@@ -559,39 +559,21 @@ _CHUNK_PIECES = 2048
 _json_str = json.encoder.encode_basestring_ascii
 
 
-def _json_scalar(value: object) -> str:
-    """JSON text of a leaf; a Fraction is written as the string "p/q"."""
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, str):
-        return _json_str(value)
+def _fraction_text(value: object) -> str:
+    """A Fraction as the string "p/q"; any other non-JSON value is refused."""
     if isinstance(value, Fraction):
-        return _json_str(format_rational(value))
+        return format_rational(value)
     raise TypeError(f"unexpected report value {value!r}")
+
+
+#: Report values are trees built here, so the cycle check is skipped.
+_ENCODER = json.JSONEncoder(indent=2, default=_fraction_text, check_circular=False)
 
 
 def _json_block(value: object, indent: str = "") -> str:
     """JSON text of ``value`` as json.dumps(indent=2) writes it when the
-    value's first line sits at ``indent``; tuples are arrays."""
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items = [f"{_json_str(k)}: {_json_block(v, inner)}" for k, v in value.items()]
-        opener, closer = "{", "}"
-    elif isinstance(value, (list, tuple)):
-        items = [_json_block(v, inner) for v in value]
-        opener, closer = "[", "]"
-    else:
-        return _json_scalar(value)
-    if not items:
-        return opener + closer
-    sep = "\n" + inner
-    return f"{opener}{sep}{(',' + sep).join(items)}\n{indent}{closer}"
+    value's first line sits at ``indent``."""
+    return _ENCODER.encode(value).replace("\n", "\n" + indent)
 
 
 class _Rows(list):
@@ -846,24 +828,16 @@ def _per_c4(
 #: (b2, b3, tail) item of _per_c4 as it is.  b2 and b3 are the ints the parser
 #: read, so %d writes them as JSON.
 _RECORD_JSON = b'{\n      "b2": %d,\n      "b3": %d,\n%b'
-_RECORD_TAIL_JSON = (
-    '      "c2sq": {},\n'
-    '      "c4": {},\n'
-    '      "delta": {},\n'
-    '      "delta_sqrt": {},\n'
-    '      "lambda_roots": {},\n'
-    '      "accepted": {}\n'
-    "    }},\n    "
-).format
 
 
 def _record_tail(r: CandidateRecord) -> bytes:
-    return _RECORD_TAIL_JSON(
-        _json_scalar(r.chern.c2sq), _json_scalar(r.chern.c4),
-        _json_scalar(r.delta), _json_scalar(r.delta_sqrt),
-        _json_block(sorted(r.lambda_roots), "      "),
-        _json_scalar(r.accepted),
-    ).encode()
+    """A filter record after b2 and b3, its closing brace and ",\\n    "."""
+    fields = {
+        "c2sq": r.chern.c2sq, "c4": r.chern.c4, "delta": r.delta,
+        "delta_sqrt": r.delta_sqrt, "lambda_roots": sorted(r.lambda_roots),
+        "accepted": r.accepted,
+    }
+    return (_json_block(fields, "    ")[2:] + ",\n    ").encode()
 
 
 def _record_rows(pairs: Iterable[tuple[int, int]]) -> _Rows:

@@ -126,6 +126,18 @@ MUTANTS = [
         "        c4 = c4_from_betti(b2, b3) % 7\n        value = memo.get(c4)",
         "_per_c4 keys its memo on c4 % 7",
     ),
+    (
+        "pipeline.py",
+        "        return format_rational(value)\n",
+        "        return str(value)\n",
+        "a report Fraction is written by str, so an integer one loses its /1",
+    ),
+    (
+        "pipeline.py",
+        '_json_block(fields, "    ")[2:]',
+        '_json_block(fields, "    ")[1:]',
+        "a filter record tail keeps the newline after its dict's brace",
+    ),
 ]
 
 

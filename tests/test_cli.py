@@ -328,6 +328,13 @@ def test_module_entry_point(tmp_path):
     assert result.returncode == 1
 
 
+def test_version_matches_pyproject():
+    # reports embed hk4verify._version; package metadata reads pyproject.toml
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    (declared,) = re.findall(r'^version = "([^"]*)"$', pyproject.read_text(), re.M)
+    assert hk4verify._version.__version__ == declared
+
+
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # both sit on every CLI call's start-up path once any module imports them
     code = (

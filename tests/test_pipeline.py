@@ -3,6 +3,7 @@ import json
 import re
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -231,6 +232,14 @@ def test_builtin_candidates():
     cf = builtin_candidates()
     assert cf.valid_pairs() == [(23, 0), (7, 8), (6, 4), (5, 0)]
     assert cf.digest.startswith("sha256:")
+
+
+def test_shipped_data_files():
+    # the fixture file holds the built-in pairs, and the template holds no row
+    data = Path(__file__).resolve().parents[1] / "data"
+    assert load_candidates(data / "table1_pairs.csv").pairs == builtin_candidates().pairs
+    template = load_candidates(data / "guan_pairs_template.csv")
+    assert (template.pairs, template.flagged) == ((), ())
 
 
 # ---------------------------------------------------------------------------
@@ -844,6 +853,14 @@ def test_emit_report_json_keeps_equal_values_of_different_types_apart():
     assert [type(c["details"]["x"]) for c in data["certificates"]][:2] == [int, bool]
     assert data["certificates"][0]["hypotheses"] == ["h", 1, True]
     assert data["certificates"][1]["hypotheses"] == list(run.hypotheses)
+
+
+@pytest.mark.parametrize("value", [{1}, b"1"])
+def test_emit_report_json_refuses_unsupported_values(value):
+    (run,) = prove(parse_candidates("b2,b3\n23,0\n"), primes=(2,), t_max=0).runs
+    certs = Certificates([run._replace(details={**run.details, "x": value})])
+    with pytest.raises(TypeError, match="unexpected report value"):
+        emit_report(certs, "json")
 
 
 @pytest.mark.parametrize(
