@@ -12,7 +12,7 @@ import sys
 import time
 
 from ._version import __version__
-from .exact import format_rational, parse_rational, rational_sqrt_exact
+from .exact import format_rational, parse_int, parse_rational
 from .pipeline import (
     CandidateFile,
     DEFAULT_PRIMES,
@@ -21,7 +21,6 @@ from .pipeline import (
     builtin_candidates,
     filter_report_chunks,
     load_candidates,
-    parse_int_field,
     prove,
     report_chunks,
     table1,
@@ -32,7 +31,7 @@ from .quotient import (
     orbifold_salamon_defect,
     transport_betti,
 )
-from .riemann_roch import admits_zero_chi, delta, rr_chi_hk
+from .riemann_roch import rr_chi_hk, zero_chi
 from .topology import betti_from_pair, euler_characteristic, salamon_defect
 
 
@@ -45,43 +44,33 @@ class _Parser(argparse.ArgumentParser):
     # verification checks here, so route usage problems through CLIError.
     def __init__(self, *args: object, **kwargs: object) -> None:
         super().__init__(*args, **kwargs)  # type: ignore[arg-type]
-        # let values like -8/5 pass as arguments, not option strings
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$")
+        # let values like -8/5 and -1,0 pass as arguments, not option strings
+        self._negative_number_matcher = re.compile(r"^-[0-9]")
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise CLIError(message)
 
 
 def _integer(text: str) -> int:
-    """argparse type: one integer under the candidate-file grammar (optional
-    sign, ASCII digits, spaces and tabs around them)."""
+    """argparse type: one integer under the grammar of exact.parse_int
+    (optional sign, ASCII digits, spaces and tabs around them)."""
     try:
-        return parse_int_field(text)
+        return parse_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expects an integer, got {text!r}"
         ) from None
 
 
-def _betti_pair(text: str) -> tuple[int, int]:
-    tokens = text.split(",")
-    if len(tokens) != 2:
-        raise CLIError(f"--betti expects 'b2,b3', got {text!r}")
+def _integers(text: str) -> tuple[int, ...]:
+    """argparse type: comma-separated integers as in _integer; "" is the
+    empty list, but an empty item inside a list is an error."""
     try:
-        return parse_int_field(tokens[0]), parse_int_field(tokens[1])
+        return tuple(parse_int(item) for item in text.split(",")) if text else ()
     except ValueError:
-        raise CLIError(f"--betti expects integers, got {text!r}") from None
-
-
-def _parse_primes(text: str) -> tuple[int, ...]:
-    """Comma-separated integers; "" is the empty list (prove then rejects
-    it), but an empty item inside a list is an error."""
-    if not text:
-        return ()
-    try:
-        return tuple(parse_int_field(tok) for tok in text.split(","))
-    except ValueError:
-        raise CLIError(f"--primes expects comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _candidates(args: argparse.Namespace) -> CandidateFile:
@@ -136,20 +125,20 @@ def _cmd_prove(args: argparse.Namespace) -> int:
 def _cmd_rr(args: argparse.Namespace) -> int:
     lam = parse_rational(getattr(args, "lambda"))
     chi = rr_chi_hk(args.c4, lam)
-    d = delta(args.c4)
-    sqrt = rational_sqrt_exact(d)
-    roots = sorted(admits_zero_chi(args.c4))
+    d, sqrt, roots = zero_chi(args.c4)
     print(f"chi = {format_rational(chi)}")
     print(f"delta = {format_rational(d)}")
     print(f"delta_sqrt = {format_rational(sqrt) if sqrt is not None else 'none'}")
     print(
         "lambda_roots = "
-        + (", ".join(format_rational(r) for r in roots) if roots else "none")
+        + (", ".join(format_rational(r) for r in sorted(roots)) if roots else "none")
     )
     return 0
 
 
 def _cmd_transport(args: argparse.Namespace) -> int:
+    if len(args.betti) != 2:
+        raise CLIError(f"--betti expects 'b2,b3', got {len(args.betti)} integers")
     b2, b3 = args.betti
     profile = FixedLocusProfile(p=args.p, m=args.m, k=args.k, t=args.t)
     bY = betti_from_pair(b2, b3)
@@ -200,7 +189,7 @@ def build_parser() -> _Parser:
     p_prove.add_argument("--candidates", help=_CANDIDATES_HELP)
     p_prove.add_argument(
         "--primes",
-        type=_parse_primes,
+        type=_integers,
         default=DEFAULT_PRIMES,
         help="comma-separated primes to sweep (default: 2,3,5,7,11,13)",
     )
@@ -229,7 +218,7 @@ def build_parser() -> _Parser:
     p_tr.add_argument("--k", type=_integer, default=0, help="fixed K3 components")
     p_tr.add_argument("--t", type=_integer, default=0, help="fixed torus components")
     p_tr.add_argument(
-        "--betti", type=_betti_pair, required=True, help="pair b2,b3"
+        "--betti", type=_integers, required=True, help="pair b2,b3"
     )
     p_tr.set_defaults(func=_cmd_transport)
 
@@ -241,13 +230,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:
+    except (CLIError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

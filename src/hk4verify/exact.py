@@ -1,4 +1,5 @@
-"""Exact rational arithmetic: perfect-square detection and the `p/q` text form.
+"""Exact rational arithmetic: perfect-square detection and the text of numbers
+(integers, and rationals in `p/q` form).
 
 Every quantity the verification pipeline touches is an arbitrary-precision
 integer or a reduced fraction of such integers.  Rationals are represented by
@@ -47,23 +48,37 @@ def rational_sqrt_exact(q: Fraction) -> Fraction | None:
     return Fraction(num, den)
 
 
-# Text format shared by the CLI and all reports: `p/q` with an optional sign
-# on p, or a bare integer meaning p/1.
-_RATIONAL_RE = re.compile(r"\A[+-]?[0-9]+(?:/[0-9]+)?\Z")
+# Number text, shared by candidate files, the CLI and the reports: an integer
+# is an optional sign and ASCII digits (int() alone would also take "1_0",
+# non-ASCII digits and other whitespace), a rational is an integer with an
+# optional "/" and an unsigned denominator, and a field may carry BLANKS, the
+# only whitespace allowed, around its text.
+BLANKS = " \t"
+INT = r"[+-]?[0-9]+"
+PAD = f"[{BLANKS}]*"
+_FIELD_RE = re.compile(rf"{PAD}({INT})(?:/([0-9]+))?{PAD}")
+
+
+def parse_int(text: str) -> int:
+    """The integer one field spells, blanks around it allowed; ValueError for
+    anything else."""
+    match = _FIELD_RE.fullmatch(text)
+    if match is None or match[2] is not None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(match[1])
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse `p/q` or a bare integer, with spaces and tabs around it; reject
     anything else, including other whitespace and q = 0."""
-    s = text.strip(" \t")
-    if not _RATIONAL_RE.match(s):
+    match = _FIELD_RE.fullmatch(text)
+    if match is None:
         raise ValueError(f"not a rational in p/q form: {text!r}")
-    if "/" in s:
-        p, q = s.split("/")
-        if int(q) == 0:
-            raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(int(p), int(q))
-    return Fraction(int(s))
+    p, q = match.groups()
+    den = int(q or 1)
+    if den == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    return Fraction(int(p), den)
 
 
 def format_rational(q: Fraction) -> str:

@@ -5,10 +5,11 @@ Candidate file format
 UTF-8 text, LF or CRLF line endings.  Comment lines start with ``#`` (the
 leading comment block is kept as free-text provenance), the first
 non-comment line must be the header ``b2,b3``, and every following line
-holds two comma-separated integers.  Spaces and tabs around a field are
-ignored; any other whitespace in a line is an error.  One anchored ASCII
-pattern (``_ROW_RE``) is the only thing that accepts a data row; other lines
-are comments, blank, the header, or errors.  Malformed input (bad header,
+holds two comma-separated integers, spelled as in ``exact`` (the one home
+of the number grammar).  Spaces and tabs around a field are ignored; any
+other whitespace in a line is an error.  One anchored ASCII pattern
+(``_ROW_RE``) is the only thing that accepts a data row; other lines are
+comments, blank, the header, or errors.  Malformed input (bad header,
 non-integer or over-long fields, non-UTF-8 bytes) is an error; inadmissible
 rows (negative values, odd b3, negative forced b4, duplicates) are kept as
 flagged rows with an error annotation, never silently dropped.  A CandidateFile
@@ -59,7 +60,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from ._version import __version__
-from .exact import format_rational, rational_sqrt_exact
+from .exact import BLANKS, INT, PAD, format_rational
 from .quotient import (
     FixedLocusProfile,
     is_prime,
@@ -72,8 +73,8 @@ from .quotient import (
 from .riemann_roch import (
     CandidateRecord,
     admits_zero_chi,
-    delta,
     evaluate_candidate,
+    zero_chi,
 )
 from .topology import (
     InadmissiblePairError,
@@ -249,29 +250,9 @@ _HYPOTHESES_EXCLUSION = _HYPOTHESES_COMMON + (
 # ---------------------------------------------------------------------------
 # Candidate ingestion
 
-#: An integer field: an optional sign and ASCII digits.  int() alone would
-#: also take "1_0", non-ASCII digits and other whitespace.
-_INT = r"[+-]?[0-9]+"
-
-#: The only whitespace a line or a field may carry around its text; the "\r"
-#: of a CRLF line ending is dropped first.
-_BLANKS = " \t"
-
-_PAD = f"[{_BLANKS}]*"
-
 #: The one pattern that accepts a data row: two integer fields around a comma,
 #: blanks around each field, and the "\r" of a CRLF line ending.
-_ROW_RE = re.compile(rf"{_PAD}({_INT}){_PAD},{_PAD}({_INT}){_PAD}\r?")
-_FIELD_RE = re.compile(rf"{_PAD}({_INT}){_PAD}")
-
-
-def parse_int_field(text: str) -> int:
-    """The integer one field spells under the candidate-file grammar (blanks
-    around it allowed); ValueError for anything else."""
-    match = _FIELD_RE.fullmatch(text)
-    if match is None:
-        raise ValueError(f"not an integer: {text!r}")
-    return int(match[1])
+_ROW_RE = re.compile(rf"{PAD}({INT}){PAD},{PAD}({INT}){PAD}\r?")
 
 
 #: Pairs accepted by the rational-square filter; the default prove fixture.
@@ -319,14 +300,14 @@ def parse_candidates(
                 inadmissible.append((b2, b3))
             continue
         # comments, blank lines, the header, and data lines _ROW_RE refused
-        line = raw.removesuffix("\r").strip(_BLANKS)
+        line = raw.removesuffix("\r").strip(BLANKS)
         if not line:
             continue
         if line.startswith("#"):
             if not header_seen:
-                provenance.append(line.lstrip("#").strip(_BLANKS))
+                provenance.append(line.lstrip("#").strip(BLANKS))
             continue
-        tokens = [tok.strip(_BLANKS) for tok in line.split(",")]
+        tokens = [tok.strip(BLANKS) for tok in line.split(",")]
         if not header_seen:
             if tokens != ["b2", "b3"]:
                 raise CandidateFormatError(
@@ -392,12 +373,14 @@ def prove(
     for p in primes:
         if not is_prime(p):
             raise ValueError(f"not a prime: {p}")
+    expected = len(candidates.pairs) * len(primes) * (t_max + 1)
+    if expected > sys.maxsize:  # len() of the result could not be taken
+        raise ValueError(f"{expected} certificates exceed sys.maxsize = {sys.maxsize}")
     runs: list[CertificateRun] = []
     shared: dict[object, dict[str, object]] = {}
     for b2, b3 in candidates.pairs:
         runs += _prove_candidate(b2, b3, primes, t_max, shared)
     certificates = Certificates(runs)
-    expected = len(candidates.pairs) * len(primes) * (t_max + 1)
     if len(certificates) != expected:
         raise VerificationError(
             f"expected {expected} certificates, produced {len(certificates)}",
@@ -450,12 +433,12 @@ def _prove_candidate(
                     f"at c4 = 0 for ({b2}, {b3}), p={p}, t=0",
                     candidate=candidate, prime=p, t=0, identity="zero_chi_W",
                 )
-            d = delta(0)
+            d, sqrt, _ = zero_chi(0)
             shared[None] = {
                 "salamon_defect_W": 0,
                 "c4_W": 0,  # c4 equals chi_top on the hyperkahler resolution
                 "delta": d,
-                "delta_sqrt": rational_sqrt_exact(d),
+                "delta_sqrt": sqrt,
                 "lambda_roots": tuple(sorted(roots)),
             }
         forms = []  # b(W) at t = 0 and t = 1

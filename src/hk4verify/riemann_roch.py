@@ -22,9 +22,10 @@ quadratic = u/3456, so the discriminant is delta = N / 864^2 with
 As 864^2 is a square, delta is a rational square iff N is a perfect integer
 square s^2 (s = isqrt(N), N >= 0); then sqrt(delta) = s/864 and, for u != 0,
 the roots of chi = 0 are 2(s - u)/u and -2(s + u)/u.  At u = 0 (c4 = 3024)
-N = 0 is a square but chi is the constant 3, so there are no roots.  The
-filter runs on these integers; Fraction is built only for the values a
-record carries.  In the same terms chi = 3 + u * lambda * (lambda + 4) / 3456
+N = 0 is a square but chi is the constant 3, so there are no roots.
+zero_chi is the one derivation of delta, sqrt(delta) and the roots from these
+integers: delta, admits_zero_chi, the filter, prove and the rr command all
+read it.  In the same terms chi = 3 + u * lambda * (lambda + 4) / 3456
 (rr_chi_hk).
 
 Everything a CandidateRecord holds besides b2 and b3 is therefore a function
@@ -80,15 +81,18 @@ def rr_chi_hk(c4: int, lam: Fraction) -> Fraction:
     return 3 + Fraction(3024 - c4, 3456) * lam * (lam + 4)
 
 
-def _zero_chi_data(c4: int) -> tuple[int, int | None, set[Fraction]]:
-    """(N, s, roots) of the integer form: N = 864^2 * delta(c4), s = sqrt(N)
-    when N is a perfect square (else None), and the rational roots of chi = 0."""
+def zero_chi(c4: int) -> tuple[Fraction, Fraction | None, set[Fraction]]:
+    """(delta, sqrt(delta), roots) at c4, from the integer form: delta(c4),
+    its nonnegative rational square root (None when delta is not a rational
+    square), and every rational lambda with rr_chi_hk(c4, lambda) == 0."""
     u = 3024 - c4
     n = u * (u - 2592)
     s = int_sqrt_exact(n) if n >= 0 else None
+    d = Fraction(n, _DELTA_DENOMINATOR)
+    sqrt = None if s is None else Fraction(s, 864)
     if s is None or u == 0:
-        return n, s, set()
-    return n, s, {Fraction(2 * (s - u), u), Fraction(-2 * (s + u), u)}
+        return d, sqrt, set()
+    return d, sqrt, {Fraction(2 * (s - u), u), Fraction(-2 * (s + u), u)}
 
 
 def delta(c4: int) -> Fraction:
@@ -98,7 +102,7 @@ def delta(c4: int) -> Fraction:
 
     chi = 0 has a rational solution only if this is a rational square.
     """
-    return Fraction(_zero_chi_data(c4)[0], _DELTA_DENOMINATOR)
+    return zero_chi(c4)[0]
 
 
 def admits_zero_chi(c4: int) -> set[Fraction]:
@@ -108,19 +112,19 @@ def admits_zero_chi(c4: int) -> set[Fraction]:
     c4 = 3024 where both non-constant coefficients vanish and chi is the
     constant 3.
     """
-    return _zero_chi_data(c4)[2]
+    return zero_chi(c4)[2]
 
 
 def evaluate_candidate(b2: int, b3: int) -> CandidateRecord:
     """Run the full filter on one nonnegative (b2, b3) pair."""
     chern = chern_from_betti(b2, b3)
-    n, s, roots = _zero_chi_data(chern.c4)
+    d, sqrt, roots = zero_chi(chern.c4)
     return CandidateRecord(
         b2=b2,
         b3=b3,
         chern=chern,
-        delta=Fraction(n, _DELTA_DENOMINATOR),
-        delta_sqrt=None if s is None else Fraction(s, 864),
+        delta=d,
+        delta_sqrt=sqrt,
         lambda_roots=frozenset(roots),
         accepted=bool(roots),
     )

@@ -91,7 +91,19 @@ MUTANTS = [
         "riemann_roch.py",
         "    n = u * (u - 2592)\n",
         "    n = u * (u - 2590)\n",
-        "_zero_chi_data: 2592 -> 2590",
+        "zero_chi: 2592 -> 2590",
+    ),
+    (
+        "exact.py",
+        "int(q or 1)",
+        "int(q or 2)",
+        "parse_rational reads a bare integer as a half",
+    ),
+    (
+        "cli.py",
+        'r"^-[0-9]"',
+        'r"^-[0-9]+$"',
+        "a negative list such as -1,0 is taken for an option string",
     ),
     (
         "pipeline.py",

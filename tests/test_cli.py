@@ -145,6 +145,11 @@ def test_transport_rejects_non_prime(capsys):
 
 def test_transport_rejects_inadmissible_pair(capsys):
     assert main(["transport", "--p", "2", "--betti", "0,48"]) == 1
+    # a negative list reaches its parser
+    assert main(["transport", "--p", "2", "--betti", "-1,0"]) == 1
+    assert capsys.readouterr().err.endswith(
+        "error: Betti numbers must be nonnegative, got (-1, 0)\n"
+    )
 
 
 def test_prove_default_fixture(tmp_path, capsys):
@@ -185,6 +190,13 @@ def test_prove_rejects_bad_sweep_parameters(tmp_path, capsys):
     assert main(["prove", "--primes", "4", "--out", str(out)]) == 1
     assert main(["prove", "--t-max", "-1", "--out", str(out)]) == 1
     assert main(["prove", "--primes", "2;3", "--out", str(out)]) == 1
+    # a negative list reaches its parser
+    assert main(["prove", "--primes", "-2,3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.endswith("error: not a prime: -2\n")
+    # more certificates than len() can count
+    assert main(["prove", "--t-max", "100000000000000000000", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exceed sys.maxsize" in err
     # past the bound where Miller-Rabin on bases 2..41 is proven exact
     assert main(["prove", "--primes", "3317044064679887385961981", "--out", str(out)]) == 1
     assert "exact only below" in capsys.readouterr().err
@@ -209,6 +221,10 @@ def test_prove_rejects_bad_sweep_parameters(tmp_path, capsys):
         ["transport", "--p", "2", "--t", "+", "--betti", "23,0"],
         ["transport", "--p", "2", "--betti", "2_3,0"],
         ["transport", "--p", "2", "--betti", "23,"],
+        ["transport", "--p", "2", "--betti", "1,2,3"],
+        # a list that starts with a minus sign reaches its parser
+        ["transport", "--p", "2", "--betti", "-1,,0"],
+        ["prove", "--primes", "-2,,3"],
     ],
 )
 def test_cli_integers_follow_candidate_grammar(argv, tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hk4verify.exact import (
     format_rational,
     int_sqrt_exact,
+    parse_int,
     parse_rational,
     rational_sqrt_exact,
 )
@@ -113,10 +114,19 @@ def test_solve_quadratic_completeness_by_construction(a, r1, r2):
         (" 3/4 ", F(3, 4)),
         ("007", F(7)),
         ("\t 1/2\t", F(1, 2)),
+        ("+0", F(0)),
+        (" -0\t", F(0)),
+        ("\t-0012 ", F(-12)),
     ],
 )
 def test_parse_rational_accepts(text, expected):
     assert parse_rational(text) == expected
+    # parse_int takes the same text when it has no denominator
+    if "/" in text:
+        with pytest.raises(ValueError):
+            parse_int(text)
+    else:
+        assert parse_int(text) == expected
 
 
 @pytest.mark.parametrize(
@@ -125,11 +135,15 @@ def test_parse_rational_accepts(text, expected):
         "1/0", "1.5", "", "a/b", "3/-2", "1e3", "--3", "1/ 2", "3 / 2", "1/2/3",
         # only spaces and tabs may surround the text
         "\xa01/2", "1/2\x0c", "\n1/2", "1/2\r", "\u30001/2",
+        # integers: no underscores, non-ASCII digits or bare signs
+        "1_0", "\u0663", "\uff11", "+", "-", "1 2", "\xa01", "1\n", "0x10",
     ],
 )
 def test_parse_rational_rejects(text):
     with pytest.raises(ValueError):
         parse_rational(text)
+    with pytest.raises(ValueError):
+        parse_int(text)
 
 
 def test_format_rational():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import sys
 import time
 from fractions import Fraction as F
 from pathlib import Path
@@ -373,6 +374,11 @@ def test_prove_input_validation():
         prove(cf, primes=(4,), t_max=1)
     with pytest.raises(ValueError):
         prove(cf, primes=(2,), t_max=-1)
+    # len() of the result can count up to sys.maxsize and no further
+    one = parse_candidates("b2,b3\n23,0\n")
+    assert len(prove(one, primes=(2,), t_max=sys.maxsize - 1)) == sys.maxsize
+    with pytest.raises(ValueError, match="exceed sys.maxsize"):
+        prove(one, primes=(2,), t_max=sys.maxsize)
 
 
 def test_prove_rejects_empty_and_duplicate_primes():

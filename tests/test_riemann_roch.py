@@ -14,6 +14,7 @@ from hk4verify.riemann_roch import (
     evaluate_candidate,
     filter_candidates,
     rr_chi_hk,
+    zero_chi,
 )
 from hk4verify.topology import chern_from_betti
 from oracles import RRPolynomial, rr_chi_full
@@ -163,6 +164,8 @@ def _assert_integer_core_matches_reference(c4):
     d = delta(c4)
     assert d == poly.discriminant()
     assert admits_zero_chi(c4) == poly.rational_roots()
+    # zero_chi against the rational derivation it replaced in prove and rr
+    assert zero_chi(c4) == (d, rational_sqrt_exact(d), poly.rational_roots())
     if c4 % 3 == 0:
         record = _record_for_c4(c4)
         assert record.delta == d
