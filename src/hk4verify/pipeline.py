@@ -48,15 +48,14 @@ object, and a Table1Exclusion run keeps b(W) as the checked affine form in t
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
+import os
 import re
 import sys
 from enum import Enum
 from fractions import Fraction
-from pathlib import Path
+from functools import partial
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from ._version import __version__
@@ -330,9 +329,10 @@ def parse_candidates(
     )
 
 
-def load_candidates(path: str | Path) -> CandidateFile:
+def load_candidates(path: str | os.PathLike[str]) -> CandidateFile:
     """Read and parse a candidate file; the digest covers the raw bytes."""
-    raw = Path(path).read_bytes()
+    with open(path, "rb") as f:
+        raw = f.read()
     digest = "sha256:" + hashlib.sha256(raw).hexdigest()
     try:
         text = raw.decode("utf-8").removeprefix("\ufeff")  # a leading BOM is allowed
@@ -531,11 +531,11 @@ def _certificate_error(
 # its pure-Python encoder, which would walk every row.  Blocks that repeat
 # between rows are rendered once per report by json.JSONEncoder(indent=2), so
 # a report is laid out exactly as json.dumps(value, indent=2) lays it out.  A
-# JSON report is joined in chunks of _CHUNK_PIECES pieces, so no copy of the
-# whole report is made unless a caller asks for the bytes (emit_report,
-# emit_filter_report).
+# prove or filter report is joined in chunks of _CHUNK_PIECES pieces, so no
+# copy of the whole report is made unless a caller asks for the bytes
+# (emit_report, emit_filter_report).
 
-#: Pieces per chunk of a JSON report: about 0.6 MB of a prove report and
+#: Pieces per chunk of a report: about 0.6 MB of a JSON prove report and
 #: 0.4 MB of a filter report, as fast to write as 1,024 or 4,096 pieces.
 _CHUNK_PIECES = 2048
 
@@ -559,20 +559,21 @@ def _json_block(value: object, indent: str = "") -> str:
     return _ENCODER.encode(value).replace("\n", "\n" + indent)
 
 
-class _Rows(list):
-    """The items of an array under a top-level report key as ASCII bytes
-    pieces: their concatenation is the items, each indented for that place
-    and followed by ",\\n    " (which _json_chunks drops after the last)."""
+def _chunks(parts: list[bytes]) -> Iterator[bytes]:
+    """``parts`` joined _CHUNK_PIECES at a time (the last chunk fewer)."""
+    for start in range(0, len(parts), _CHUNK_PIECES):
+        yield b"".join(parts[start:start + _CHUNK_PIECES])
 
 
-def _json_chunks(fields: dict[str, object]) -> Iterator[bytes]:
-    """``json.dumps(fields, indent=2) + "\\n"`` as bytes, for a nonempty
-    ``fields``, in chunks that each join _CHUNK_PIECES pieces (the last one
-    fewer); _Rows pieces go in as they are."""
+def _json_chunks(fields: dict[str, object], rows_key: str) -> Iterator[bytes]:
+    """``json.dumps(fields, indent=2) + "\\n"`` as bytes in _chunks, for a
+    nonempty ``fields``.  ``fields[rows_key]`` is a list of ASCII bytes pieces
+    that go in as they are: the array's items, each indented for that place
+    and followed by ",\\n    " (dropped after the last)."""
     parts = [b"{\n  "]
     for key, value in fields.items():
         parts.append(f"{_json_str(key)}: ".encode())
-        if isinstance(value, _Rows) and value:
+        if key == rows_key and value:
             parts.append(b"[\n    ")
             parts += value
             parts[-1] = parts[-1].removesuffix(b",\n    ")
@@ -581,8 +582,7 @@ def _json_chunks(fields: dict[str, object]) -> Iterator[bytes]:
             parts.append(_json_block(value, "  ").encode())
         parts.append(b",\n  ")
     parts[-1] = b"\n}\n"
-    for start in range(0, len(parts), _CHUNK_PIECES):
-        yield b"".join(parts[start:start + _CHUNK_PIECES])
+    return _chunks(parts)
 
 
 def _md_row(cells: Iterable[object]) -> str:
@@ -596,21 +596,17 @@ def _render_table(
     *,
     titles: Sequence[str] | None = None,
     text_columns: Sequence[str] = (),
-    preamble: Sequence[str] = (),
 ) -> str:
     """Render rows as csv, a Markdown table or a JSON list of row objects.
 
-    ``titles`` (header cells), ``text_columns`` (left-aligned; the rest are
-    right-aligned) and ``preamble`` (lines above the table) apply to
-    Markdown only.
+    csv cells are written as they are, never quoted.  ``titles`` (header
+    cells) and ``text_columns`` (left-aligned; the rest are right-aligned)
+    apply to Markdown only.
     """
     fmt = {"md": "markdown"}.get(fmt, fmt)
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
-        return buf.getvalue()
+        lines = [",".join(columns)] + [",".join(map(str, row)) for row in rows]
+        return "\n".join(lines) + "\n"
     if fmt == "markdown":
         titles = columns if titles is None else titles
         rule = [
@@ -618,7 +614,7 @@ def _render_table(
             else "-" * (len(title) + 1) + ":"
             for column, title in zip(columns, titles)
         ]
-        lines = [*preamble, _md_row(titles), "|" + "|".join(rule) + "|"]
+        lines = [_md_row(titles), "|" + "|".join(rule) + "|"]
         lines += [_md_row(row) for row in rows]
         return "\n".join(lines) + "\n"
     if fmt == "json":
@@ -632,25 +628,23 @@ _CERT_COLUMNS = (
 )
 
 
-def _table_rows(
-    runs: Iterable[CertificateRun], *extra: object, no_roots: str = ""
-) -> list[tuple[object, ...]]:
-    """Every certificate of ``runs`` in _CERT_COLUMNS order, then ``extra``;
-    ``no_roots`` fills the lambda_roots cell of a Table1Exclusion certificate
-    with an empty root set.  The cells after t are built once per run."""
-    rows: list[tuple[object, ...]] = []
-    for (b2, b3), p, ts, branch, details, _ in runs:
-        exclusion = branch is Branch.TABLE1_EXCLUSION
-        roots = ";".join(format_rational(r) for r in details.get("lambda_roots", ()))
-        tail = (
-            branch.value, details["chi_top_X"],
-            details["c4_W"] if exclusion else "",
-            format_rational(details["delta"]) if exclusion else "",
-            roots or (no_roots if exclusion else ""),
-            details["m"], details["k"], *extra,
-        )
-        rows += [(b2, b3, p, t, *tail) for t in ts]
-    return rows
+def _table_tail(
+    no_roots: str, row: Callable[[list[str]], str],
+    branch: Branch, details: dict[str, object], hypotheses: object,
+) -> list[bytes]:
+    """The tail of a csv or markdown certificate: ``row`` of the cells after
+    t, in _CERT_COLUMNS order.  ``no_roots`` fills the lambda_roots cell of a
+    Table1Exclusion certificate with an empty root set."""
+    exclusion = branch is Branch.TABLE1_EXCLUSION
+    roots = ";".join(format_rational(r) for r in details.get("lambda_roots", ()))
+    cells = [
+        branch.value, str(details["chi_top_X"]),
+        str(details["c4_W"]) if exclusion else "",
+        format_rational(details["delta"]) if exclusion else "",
+        roots or (no_roots if exclusion else ""),
+        str(details["m"]), str(details["k"]),
+    ]
+    return [row(cells).encode()]
 
 
 #: One certificate, an item of the report's "certificates" array: the head
@@ -672,42 +666,51 @@ _BETTI_W_SLOT = "\x00betti_W"
 _BETTI_W_JSON = b"[" + b",".join([b"\n          %d"] * 9) + b"\n        ]"  # b0..b8
 
 
-def _cert_rows(runs: Iterable[CertificateRun]) -> _Rows:
-    """The JSON pieces (head, t, tail) of each certificate of ``runs``, the
-    tail split around betti_W when that is an AffineBetti.  A tail is rendered
-    once per distinct (branch, details, hypotheses) objects, and each
-    hypotheses tuple once, keyed on ids: the caller's runs keep every object
-    alive for the whole call."""
-    slot = _json_str(_BETTI_W_SLOT).encode()
+def _json_tail(
+    hypotheses_texts: dict[int, str],
+    branch: Branch, details: dict[str, object], hypotheses: tuple[str, ...],
+) -> list[bytes]:
+    """The tail of a JSON certificate, split at betti_W when that is an
+    AffineBetti.  ``hypotheses_texts`` holds each hypotheses tuple of one
+    report as rendered, keyed on its id: the report's runs keep it alive."""
+    text = hypotheses_texts.get(id(hypotheses))
+    if text is None:
+        text = hypotheses_texts[id(hypotheses)] = _json_block(hypotheses, "      ")
+    shown = details
+    if isinstance(details.get("betti_W"), AffineBetti):
+        shown = {**details, "betti_W": _BETTI_W_SLOT}
+    return _CERT_TAIL_JSON(
+        _json_str(branch.value), _json_block(shown, "      "), text
+    ).encode().split(_json_str(_BETTI_W_SLOT).encode())
+
+
+def _cert_rows(
+    runs: Iterable[CertificateRun], head: bytes,
+    render_tail: Callable[[Branch, dict[str, object], tuple[str, ...]], list[bytes]],
+) -> list[bytes]:
+    """The rows of every report format, as the pieces of each certificate of
+    ``runs``: ``head`` filled with (b2, b3, prime), t, and the run's tail, split
+    around the betti_W at t if in two.  A tail is rendered once per distinct
+    (branch, details, hypotheses) objects, keyed on ids: the runs keep them alive."""
     t_texts: dict[range, list[bytes]] = {}
     tails: dict[tuple[int, int, int], list[bytes]] = {}
-    hypotheses_texts: dict[int, str] = {}
-    rows = _Rows()
+    rows: list[bytes] = []
     for (b2, b3), p, ts, branch, details, hypotheses in runs:
         key = (id(branch), id(details), id(hypotheses))
         tail = tails.get(key)
         if tail is None:
-            if id(hypotheses) not in hypotheses_texts:
-                hypotheses_texts[id(hypotheses)] = _json_block(hypotheses, "      ")
-            shown = details
-            if isinstance(details.get("betti_W"), AffineBetti):
-                shown = {**details, "betti_W": _BETTI_W_SLOT}
-            tail = tails[key] = _CERT_TAIL_JSON(
-                _json_str(branch.value), _json_block(shown, "      "),
-                hypotheses_texts[id(hypotheses)],
-            ).encode().split(slot)
+            tail = tails[key] = render_tail(branch, details, hypotheses)
         if ts not in t_texts:
             t_texts[ts] = [b"%d" % t for t in ts]
-        head = _CERT_HEAD_JSON % (b2, b3, p)
+        run_head = head % (b2, b3, p)
         if len(tail) == 1:
-            pieces = [head, b"", tail[0]] * len(ts)
+            pieces = [run_head, b"", tail[0]] * len(ts)
             pieces[1::3] = t_texts[ts]
         else:
             pre, post = tail
-            form = details["betti_W"]
-            pieces = [head, b"", pre, b"", post] * len(ts)
+            pieces = [run_head, b"", pre, b"", post] * len(ts)
             pieces[1::5] = t_texts[ts]
-            pieces[3::5] = [_BETTI_W_JSON % form.at(t) for t in ts]
+            pieces[3::5] = [_BETTI_W_JSON % details["betti_W"].at(t) for t in ts]
         rows += pieces
     return rows
 
@@ -721,9 +724,10 @@ def report_chunks(
     Certificates are sorted by (b2, b3, prime, t) by sorting the runs on
     (candidate, prime, first t); rationals are rendered as `p/q` strings; the
     tool version and the input-file digest are embedded.  Identical inputs
-    produce byte-identical output.  The rows are rendered here, so an
-    unsupported ``fmt`` raises ValueError before any chunk; JSON chunks are
-    joined as they are consumed, and csv or markdown is one chunk.
+    produce byte-identical output.  _cert_rows writes the rows of every format
+    here, so an unsupported ``fmt`` raises ValueError before any row, and so
+    does a csv ``input_digest`` holding `,`, `"`, "\\r" or "\\n" (csv cells are
+    never quoted); the chunks are joined as they are consumed.
     """
     runs = sorted(certs.runs, key=lambda r: (r.candidate, r.prime, r.ts.start))
     if fmt == "json":
@@ -731,35 +735,33 @@ def report_chunks(
             "version": __version__,
             "input_digest": input_digest,
             "branch_counts": certs.branch_counts(),
-            "certificates": _cert_rows(runs),
+            "certificates": _cert_rows(runs, _CERT_HEAD_JSON, partial(_json_tail, {})),
         }
-        return _json_chunks(payload)
+        return _json_chunks(payload, "certificates")
     if fmt == "csv":
-        text = _render_table(
-            fmt,
-            _CERT_COLUMNS + ("version", "input_digest"),
-            _table_rows(runs, __version__, input_digest),
-        )
+        if any(c in input_digest for c in ',"\r\n'):
+            raise ValueError(f"csv cannot hold the input digest {input_digest!r}")
+        header = _render_table(fmt, _CERT_COLUMNS + ("version", "input_digest"), ())
+        end = f",{__version__},{input_digest}\n"
+        tail = partial(_table_tail, "", lambda cells: "," + ",".join(cells) + end)
+        rows = _cert_rows(runs, b"%d,%d,%d,", tail)
     else:
         counts = certs.branch_counts()
-        preamble = [
-            "# Contradiction certificates",
-            "",
-            f"- version: {__version__}",
-            f"- input digest: {input_digest}",
+        header = (
+            "# Contradiction certificates\n\n"
+            f"- version: {__version__}\n"
+            f"- input digest: {input_digest}\n"
             f"- certificates: {len(certs)} ("
             + ", ".join(f"{name}: {count}" for name, count in sorted(counts.items()))
-            + ")",
-            "",
-        ]
-        text = _render_table(
-            fmt,
-            _CERT_COLUMNS,
-            _table_rows(runs, no_roots="none"),
-            text_columns=("branch", "lambda_roots"),
-            preamble=preamble,
+            + ")\n\n"
+            + _render_table(
+                fmt, _CERT_COLUMNS, (), text_columns=("branch", "lambda_roots")
+            )
         )
-    return iter((text.encode("utf-8"),))
+        tail = partial(_table_tail, "none", lambda cells: " " + _md_row(cells) + "\n")
+        rows = _cert_rows(runs, b"| %d | %d | %d | ", tail)
+    rows.insert(0, header.encode())
+    return _chunks(rows)
 
 
 def emit_report(
@@ -823,14 +825,10 @@ def _record_tail(r: CandidateRecord) -> bytes:
     return (_json_block(fields, "    ")[2:] + ",\n    ").encode()
 
 
-def _record_rows(pairs: Iterable[tuple[int, int]]) -> _Rows:
-    """The filter records of ``pairs``, one tail rendered per distinct c4."""
-    return _Rows([_RECORD_JSON % row for row in _per_c4(pairs, _record_tail)])
-
-
 def filter_report_chunks(candidates: CandidateFile) -> Iterator[bytes]:
     """Full per-candidate filter outcomes, valid and flagged rows alike, as
     chunks of bytes whose concatenation is the report."""
+    records = _per_c4(candidates.pairs, _record_tail)  # one tail per distinct c4
     payload = {
         "version": __version__,
         "input_digest": candidates.digest,
@@ -838,10 +836,10 @@ def filter_report_chunks(candidates: CandidateFile) -> Iterator[bytes]:
             "accepted flags below are computed for the supplied candidate "
             "list by this tool; they are not an externally attested table"
         ),
-        "records": _record_rows(candidates.pairs),
+        "records": [_RECORD_JSON % row for row in records],
         "invalid_rows": [row._asdict() for row in candidates.flagged],
     }
-    return _json_chunks(payload)
+    return _json_chunks(payload, "records")
 
 
 def emit_filter_report(candidates: CandidateFile) -> bytes:

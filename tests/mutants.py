@@ -73,13 +73,13 @@ MUTANTS = [
         "pipeline.py",
         "parts[start:start + _CHUNK_PIECES]",
         "parts[start:start + _CHUNK_PIECES - 1]",
-        "a JSON chunk drops the last piece before its boundary",
+        "a report chunk drops the last piece before its boundary",
     ),
     (
         "pipeline.py",
         "parts[start:start + _CHUNK_PIECES]",
         "parts[start:start + _CHUNK_PIECES + 1]",
-        "a JSON chunk repeats the first piece after its boundary",
+        "a report chunk repeats the first piece after its boundary",
     ),
     (
         "pipeline.py",
@@ -149,6 +149,18 @@ MUTANTS = [
         '_json_block(fields, "    ")[2:]',
         '_json_block(fields, "    ")[1:]',
         "a filter record tail keeps the newline after its dict's brace",
+    ),
+    (
+        "pipeline.py",
+        'b"%d,%d,%d,"',
+        'b"%d,%d,%d;"',
+        "the csv head ends its prime cell with ';'",
+    ),
+    (
+        "pipeline.py",
+        '" " + _md_row(cells)',
+        "_md_row(cells)",
+        "the markdown tail drops the space after t",
     ),
 ]
 

@@ -352,10 +352,11 @@ def test_version_matches_pyproject():
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # both sit on every CLI call's start-up path once any module imports them
+    # each sits on every CLI call's start-up path once any module imports it
     code = (
         "import sys, hk4verify.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+        "names = {'csv', 'dataclasses', 'inspect', 'pathlib'}; "
+        "print(sorted(names & sys.modules.keys()))"
     )
     src = Path(hk4verify.__file__).resolve().parents[1]
     result = subprocess.run(

@@ -27,6 +27,7 @@ from hk4verify.pipeline import (
     load_candidates,
     parse_candidates,
     prove,
+    report_chunks,
     table1,
     verify_certificate,
 )
@@ -869,17 +870,36 @@ def test_emit_report_json_refuses_unsupported_values(value):
         emit_report(certs, "json")
 
 
-@pytest.mark.parametrize(
-    "fmt, digest",
-    [
-        ("csv", "1aff2fbd886047d8f8b0e6cdaf9d5fbc9c3f4cbf687d1c1b0b6094af0e694ce4"),
-        ("md", "2465389ee69a9a9fc912d22a4164e22cb33e825a71cb7a86e318f8ac13fff058"),
-    ],
-)
-def test_emit_report_csv_and_md_digests_on_b2_le_3_region(fmt, digest):
-    cf = parse_candidates(_region_text(3))
-    blob = emit_report(prove(cf), fmt, input_digest=cf.digest)
-    assert hashlib.sha256(blob).hexdigest() == digest
+#: sha256 of the csv and md reports of the b2 <= 3 and b2 <= 9 regions
+_CSV_MD_DIGESTS = {
+    (3, "csv"): "1aff2fbd886047d8f8b0e6cdaf9d5fbc9c3f4cbf687d1c1b0b6094af0e694ce4",
+    (3, "md"): "2465389ee69a9a9fc912d22a4164e22cb33e825a71cb7a86e318f8ac13fff058",
+    (9, "csv"): "f47922e690b41205121883ee6af5b7edb954394d437910a6db6b1eae84b9bdef",
+    (9, "md"): "557f69d78f4f0bbcb1d19ec0683b735dfcba2dc587aa252eaeee2cd445a14240",
+}
+
+
+@pytest.mark.parametrize("b2_max, fmt", list(_CSV_MD_DIGESTS))
+def test_emit_report_csv_and_md_digests_and_chunks_on_regions(b2_max, fmt):
+    # streamed like JSON: 15,876 and 58,590 certificates, many chunks each
+    cf = parse_candidates(_region_text(b2_max))
+    certs = prove(cf)
+    chunks = list(report_chunks(certs, fmt, input_digest=cf.digest))
+    assert len(chunks) > 1
+    assert b"".join(chunks) == emit_report(certs, fmt, input_digest=cf.digest)
+    assert hashlib.sha256(b"".join(chunks)).hexdigest() == _CSV_MD_DIGESTS[b2_max, fmt]
+
+
+@pytest.mark.parametrize("digest", ["a,b", 'a"b', "a\rb", "a\nb"])
+def test_emit_report_csv_refuses_a_digest_it_would_have_to_quote(digest):
+    # csv cells are never quoted, so such a digest is refused before any row;
+    # a sha256 digest, the only kind the CLI writes, passes
+    cf = builtin_candidates()
+    certs = prove(cf)
+    blob = emit_report(certs, "csv", input_digest=cf.digest)
+    assert blob.endswith(f",{__version__},{cf.digest}\n".encode())
+    with pytest.raises(ValueError, match="csv cannot hold the input digest"):
+        report_chunks(certs, "csv", input_digest=digest)
 
 
 def test_emit_report_same_bytes_for_shared_and_copied_details():
