@@ -589,42 +589,14 @@ def _md_row(cells: Iterable[object]) -> str:
     return "| " + " | ".join(str(cell) for cell in cells) + " |"
 
 
-def _render_table(
-    fmt: str,
-    columns: Sequence[str],
-    rows: Iterable[Sequence[object]],
-    *,
-    titles: Sequence[str] | None = None,
-    text_columns: Sequence[str] = (),
-) -> str:
-    """Render rows as csv, a Markdown table or a JSON list of row objects.
-
-    csv cells are written as they are, never quoted.  ``titles`` (header
-    cells) and ``text_columns`` (left-aligned; the rest are right-aligned)
-    apply to Markdown only.
-    """
-    fmt = {"md": "markdown"}.get(fmt, fmt)
-    if fmt == "csv":
-        lines = [",".join(columns)] + [",".join(map(str, row)) for row in rows]
-        return "\n".join(lines) + "\n"
-    if fmt == "markdown":
-        titles = columns if titles is None else titles
-        rule = [
-            "-" * (len(title) + 2) if column in text_columns
-            else "-" * (len(title) + 1) + ":"
-            for column, title in zip(columns, titles)
-        ]
-        lines = [_md_row(titles), "|" + "|".join(rule) + "|"]
-        lines += [_md_row(row) for row in rows]
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        return _json_block([dict(zip(columns, row)) for row in rows]) + "\n"
-    raise ValueError(f"unsupported format: {fmt!r}")
-
-
-_CERT_COLUMNS = (
-    "b2", "b3", "prime", "t", "branch", "chi_top_X", "c4_W", "delta",
-    "lambda_roots", "m", "k",
+#: The header lines of a csv and a markdown certificate report, in the column
+#: order of the rows that _cert_rows writes.
+_CERT_CSV_HEAD = (
+    "b2,b3,prime,t,branch,chi_top_X,c4_W,delta,lambda_roots,m,k,version,input_digest\n"
+)
+_CERT_MD_HEAD = (
+    "| b2 | b3 | prime | t | branch | chi_top_X | c4_W | delta | lambda_roots | m | k |\n"
+    "|---:|---:|------:|--:|--------|----------:|-----:|------:|--------------|--:|--:|\n"
 )
 
 
@@ -633,8 +605,8 @@ def _table_tail(
     branch: Branch, details: dict[str, object], hypotheses: object,
 ) -> list[bytes]:
     """The tail of a csv or markdown certificate: ``row`` of the cells after
-    t, in _CERT_COLUMNS order.  ``no_roots`` fills the lambda_roots cell of a
-    Table1Exclusion certificate with an empty root set."""
+    t, in the column order of _CERT_CSV_HEAD.  ``no_roots`` fills the
+    lambda_roots cell of a Table1Exclusion certificate with an empty root set."""
     exclusion = branch is Branch.TABLE1_EXCLUSION
     roots = ";".join(format_rational(r) for r in details.get("lambda_roots", ()))
     cells = [
@@ -741,11 +713,11 @@ def report_chunks(
     if fmt == "csv":
         if any(c in input_digest for c in ',"\r\n'):
             raise ValueError(f"csv cannot hold the input digest {input_digest!r}")
-        header = _render_table(fmt, _CERT_COLUMNS + ("version", "input_digest"), ())
+        header = _CERT_CSV_HEAD
         end = f",{__version__},{input_digest}\n"
         tail = partial(_table_tail, "", lambda cells: "," + ",".join(cells) + end)
         rows = _cert_rows(runs, b"%d,%d,%d,", tail)
-    else:
+    elif fmt == "md":
         counts = certs.branch_counts()
         header = (
             "# Contradiction certificates\n\n"
@@ -754,12 +726,12 @@ def report_chunks(
             f"- certificates: {len(certs)} ("
             + ", ".join(f"{name}: {count}" for name, count in sorted(counts.items()))
             + ")\n\n"
-            + _render_table(
-                fmt, _CERT_COLUMNS, (), text_columns=("branch", "lambda_roots")
-            )
+            + _CERT_MD_HEAD
         )
         tail = partial(_table_tail, "none", lambda cells: " " + _md_row(cells) + "\n")
         rows = _cert_rows(runs, b"| %d | %d | %d | ", tail)
+    else:
+        raise ValueError(f"unsupported format: {fmt!r}")
     rows.insert(0, header.encode())
     return _chunks(rows)
 
@@ -771,27 +743,27 @@ def emit_report(
     return b"".join(report_chunks(certs, fmt, input_digest=input_digest))
 
 
-def table1(candidates: CandidateFile, fmt: str = "markdown") -> str:
-    """Render the accepted candidates as a table (columns No., c2sq, c4,
-    b2, b3) sorted by decreasing b2 then decreasing b3."""
+def table1(candidates: CandidateFile, fmt: str = "md") -> str:
+    """Render the accepted candidates as a md, csv or json table (columns
+    No., c2sq, c4, b2, b3) sorted by decreasing b2 then decreasing b3."""
     accepted = [
-        (b2, b3, chern)
-        for b2, b3, chern in _per_c4(
-            candidates.pairs, lambda r: r.chern if r.accepted else ()
-        )
-        if chern
+        (b2, b3, r.chern) for b2, b3, r in _per_c4(candidates.pairs, lambda r: r)
+        if r.accepted
     ]
-    accepted.sort(key=lambda row: (-row[0], -row[1]))
+    accepted.sort(reverse=True)  # by (-b2, -b3), since the pairs are distinct
     rows = [
         (no, chern.c2sq, chern.c4, b2, b3)
         for no, (b2, b3, chern) in enumerate(accepted, start=1)
     ]
-    return _render_table(
-        fmt,
-        ("no", "c2sq", "c4", "b2", "b3"),
-        rows,
-        titles=("No.", "c2sq", "c4", "b2", "b3"),
-    )
+    if fmt == "md":
+        head = "| No. | c2sq | c4 | b2 | b3 |\n|----:|-----:|---:|---:|---:|\n"
+        return head + "".join(_md_row(row) + "\n" for row in rows)
+    if fmt == "csv":
+        return "no,c2sq,c4,b2,b3\n" + "".join("%d,%d,%d,%d,%d\n" % row for row in rows)
+    if fmt == "json":
+        keys = ("no", "c2sq", "c4", "b2", "b3")
+        return _json_block([dict(zip(keys, row)) for row in rows]) + "\n"
+    raise ValueError(f"unsupported format: {fmt!r}")
 
 
 def _per_c4(

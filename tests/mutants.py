@@ -162,6 +162,24 @@ MUTANTS = [
         "_md_row(cells)",
         "the markdown tail drops the space after t",
     ),
+    (
+        "pipeline.py",
+        "|--------|",
+        "|-------:|",
+        "the markdown certificate header right-aligns the branch column",
+    ),
+    (
+        "pipeline.py",
+        '"%d,%d,%d,%d,%d\\n"',
+        '"%d,%d,%d,%d;%d\\n"',
+        "a table1 csv row joins b2 and b3 with ';'",
+    ),
+    (
+        "pipeline.py",
+        "accepted.sort(reverse=True)",
+        "accepted.sort()",
+        "table1 sorts by increasing b2 and b3",
+    ),
 ]
 
 

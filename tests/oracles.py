@@ -1,12 +1,15 @@
 """Independent reference implementations the tests compare the package
 against: a token-split reader of candidate rows, a rational quadratic solver,
-the Riemann-Roch quadratic in its rational and fully general forms, and the
-Kuenneth product behind the Betti transport."""
+the Riemann-Roch quadratic in its rational and fully general forms, the
+Kuenneth product behind the Betti transport, and integer polynomials with
+unchecked stand-ins for BettiTable and FixedLocusProfile, on which the
+package's formulas run symbolically."""
 
 from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -183,3 +186,76 @@ def exceptional_betti(surface: tuple[int, ...], p: int) -> BettiTable:
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     return ExceptionalFiber(surface, p - 1).betti()
+
+
+#: The variables of Poly: q stands for p - 1.
+VARIABLES = ("b2", "b3", "q", "m", "k", "t")
+
+
+class Poly:
+    """An integer polynomial in VARIABLES, held as a dict from exponent tuples
+    to nonzero coefficients; +, - and * take Polys and ints."""
+
+    def __init__(self, terms: dict[tuple[int, ...], int]) -> None:
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    @classmethod
+    def var(cls, name: str) -> Poly:
+        return cls({tuple(int(v == name) for v in VARIABLES): 1})
+
+    @staticmethod
+    def of(x: Poly | int) -> Poly:
+        return x if isinstance(x, Poly) else Poly({(0,) * len(VARIABLES): x})
+
+    def __add__(self, other: Poly | int) -> Poly:
+        terms = dict(self.terms)
+        for e, c in Poly.of(other).terms.items():
+            terms[e] = terms.get(e, 0) + c
+        return Poly(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> Poly:
+        return Poly({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other: Poly | int) -> Poly:
+        return self + -Poly.of(other)
+
+    def __mul__(self, other: Poly | int) -> Poly:
+        terms: dict[tuple[int, ...], int] = {}
+        other = Poly.of(other)
+        for e, c in self.terms.items():
+            for f, d in other.terms.items():
+                ef = tuple(x + y for x, y in zip(e, f))
+                terms[ef] = terms.get(ef, 0) + c * d
+        return Poly(terms)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Poly, int)):
+            return NotImplemented
+        return self.terms == Poly.of(other).terms
+
+    def degree(self, name: str) -> int:
+        i = VARIABLES.index(name)
+        return max((e[i] for e in self.terms), default=0)
+
+    def __repr__(self) -> str:
+        return f"Poly({self.terms!r})"
+
+
+class SymbolicBetti:
+    """BettiTable's ``b``, ``strict_hk`` and indexing, zero-padded to nine
+    entries, without its checks, which compare and convert to int."""
+
+    def __init__(self, b: tuple[object, ...], strict_hk: bool = False) -> None:
+        self.b = tuple(b) + (0,) * (9 - len(b))
+        self.strict_hk = strict_hk
+
+    def __getitem__(self, j: int) -> object:
+        return self.b[j]
+
+
+#: FixedLocusProfile's fields, without its primality and sign checks.
+SymbolicProfile = namedtuple("SymbolicProfile", "p m k t")

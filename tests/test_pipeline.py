@@ -663,7 +663,7 @@ def test_emit_report_json_schema_and_order():
 def test_emit_report_deterministic():
     certs1, cf1 = _certs_mixed()
     certs2, cf2 = _certs_mixed()
-    for fmt in ("json", "csv", "markdown"):
+    for fmt in ("json", "csv", "md"):
         blob1 = emit_report(certs1, fmt, input_digest=cf1.digest)
         blob2 = emit_report(certs2, fmt, input_digest=cf2.digest)
         assert blob1 == blob2
@@ -736,13 +736,13 @@ def test_emit_report_markdown_full_text():
             for p in (2, 3) for t in (0, 1)
         )
     )
-    for fmt in ("md", "markdown"):
-        assert emit_report(certs, fmt, input_digest=cf.digest).decode() == expected
+    assert emit_report(certs, "md", input_digest=cf.digest).decode() == expected
 
 
 def test_emit_report_unsupported_format():
-    with pytest.raises(ValueError):
-        emit_report(Certificates(()), "xml")
+    for fmt in ("xml", "markdown"):
+        with pytest.raises(ValueError):
+            emit_report(Certificates(()), fmt)
 
 
 def test_table1_markdown():
@@ -784,8 +784,9 @@ def test_table1_empty_input():
 
 
 def test_table1_unsupported_format():
-    with pytest.raises(ValueError):
-        table1(builtin_candidates(), "yaml")
+    for fmt in ("yaml", "markdown"):
+        with pytest.raises(ValueError):
+            table1(builtin_candidates(), fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -987,6 +988,14 @@ def test_table1_matches_filter_candidates_on_b2_le_30_region():
         for no, r in enumerate(accepted, start=1)
     )
     assert len(accepted) == 80
+    assert {
+        fmt: hashlib.sha256(table1(cf, fmt).encode()).hexdigest()
+        for fmt in ("md", "csv", "json")
+    } == {
+        "md": "59f3c6841f4cba1aade2b2d115857b4efc04bef8303fea37873dbbe65acf07fe",
+        "csv": "037d757687b825cf4f304cba965182ae59099b973ff4a71ffe1a47adbe840a64",
+        "json": "02d9afec05944852bdb2e918aef28ac2d50bd0c576341b4e4e8719d818329a15",
+    }
 
 
 def test_table1_json_layout():

@@ -1,5 +1,6 @@
 import pytest
 
+from hk4verify import quotient
 from hk4verify.pipeline import DEFAULT_PRIMES
 from hk4verify.quotient import (
     FixedLocusProfile,
@@ -13,10 +14,12 @@ from hk4verify.quotient import (
 from hk4verify.topology import (
     BettiTable,
     betti_from_pair,
+    c4_from_betti,
     euler_characteristic,
     salamon_defect,
 )
 from oracles import K3_SURFACE, TORUS_SURFACE, ExceptionalFiber, exceptional_betti
+from oracles import VARIABLES, Poly, SymbolicBetti, SymbolicProfile
 from oracles import is_prime as reference_is_prime
 
 PRIMES = (2, 3, 5, 7, 11)
@@ -170,6 +173,23 @@ def test_transport_salamon_and_euler_shifts():
                         euler_characteristic(bW)
                         == euler_characteristic(bY) + 24 * k * (p - 1)
                     )
+
+
+def test_identities_hold_as_polynomials(monkeypatch):
+    # the unmodified formulas on symbols, with q = p - 1: each identity holds
+    # for all integers, and b(W) is affine in t
+    monkeypatch.setattr(quotient, "BettiTable", SymbolicBetti)
+    b2, b3, q, m, k, t = (Poly.var(name) for name in VARIABLES)
+    c4 = c4_from_betti(b2, b3)
+    bX = SymbolicBetti((1, 0, b2, b3, 46 + 10 * b2 - b3, b3, b2, 0, 1))
+    profile = SymbolicProfile(p=q + 1, m=m, k=k, t=t)
+    bW = transport_betti(bX, profile)
+    assert salamon_defect(bW) == 12 * q * k
+    assert orbifold_salamon_defect(bW, profile) == q * (m + 12 * k)
+    assert euler_characteristic(bW) == c4 + 24 * q * k
+    assert euler_characteristic(bX) == c4
+    assert lefschetz_euler_fixed(profile) == m + 24 * k
+    assert [Poly.of(w).degree("t") for w in bW.b] == [0, 0, 1, 1, 1, 1, 1, 0, 0]
 
 
 def test_orbifold_defect_counts_isolated_points():
