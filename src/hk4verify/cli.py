@@ -32,7 +32,7 @@ from .quotient import (
     transport_betti,
 )
 from .riemann_roch import rr_chi_hk, zero_chi
-from .topology import betti_from_pair, euler_characteristic, salamon_defect
+from .topology import BettiTable, betti_from_pair, euler_characteristic, salamon_defect
 
 
 class CLIError(Exception):
@@ -142,9 +142,9 @@ def _cmd_transport(args: argparse.Namespace) -> int:
     b2, b3 = args.betti
     profile = FixedLocusProfile(p=args.p, m=args.m, k=args.k, t=args.t)
     bY = betti_from_pair(b2, b3)
-    bW = transport_betti(bY, profile)
-    print("bY =", ",".join(str(b) for b in bY.b))
-    print("bW =", ",".join(str(b) for b in bW.b))
+    bW = BettiTable(transport_betti(bY, profile))
+    print("bY =", ",".join(str(b) for b in bY))
+    print("bW =", ",".join(str(b) for b in bW))
     print(f"salamon_defect_bW = {salamon_defect(bW)}")
     print(f"orbifold_salamon_defect = {orbifold_salamon_defect(bW, profile)}")
     print(f"euler_bY = {euler_characteristic(bY)}")

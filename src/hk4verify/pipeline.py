@@ -76,6 +76,7 @@ from .riemann_roch import (
     zero_chi,
 )
 from .topology import (
+    BettiTable,
     InadmissiblePairError,
     admissible_b4,
     betti_from_pair,
@@ -371,7 +372,7 @@ def prove(
     if len(set(primes)) != len(primes):
         raise ValueError(f"duplicate primes in {primes}")
     for p in primes:
-        if not is_prime(p):
+        if type(p) is not int or not is_prime(p):
             raise ValueError(f"not a prime: {p}")
     expected = len(candidates.pairs) * len(primes) * (t_max + 1)
     if expected > sys.maxsize:  # len() of the result could not be taken
@@ -463,7 +464,7 @@ def _prove_candidate(
                     f"chi_top(W) = {chi_W} should vanish for ({b2}, {b3}), p={p}, t={t}",
                     candidate=candidate, prime=p, t=t, identity="chi_top_W",
                 )
-            forms.append(bW.b)
+            forms.append(BettiTable(bW))
         base, at_1 = forms
         betti_W = AffineBetti(base, tuple([y - x for x, y in zip(base, at_1)]))
         out.append(CertificateRun(

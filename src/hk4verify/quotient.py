@@ -26,11 +26,9 @@ larger n with ValueError rather than give a probabilistic verdict.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .topology import (
-    K3_BETTI, TORUS2_BETTI, BettiTable, euler_characteristic, salamon_defect,
-)
+from .topology import K3_BETTI, TORUS2_BETTI, euler_characteristic, salamon_defect
 
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
@@ -60,7 +58,7 @@ def is_prime(n: int) -> bool:
 
 
 def _require_prime(p: int) -> None:
-    if not is_prime(p):
+    if type(p) is not int or not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
 
 
@@ -81,12 +79,14 @@ class FixedLocusProfile(_FixedLocusProfile):
     def __new__(cls, p: int, m: int, k: int, t: int) -> FixedLocusProfile:
         self = super().__new__(cls, p, m, k, t)
         _require_prime(p)
+        if any(type(n) is not int for n in (m, k, t)):
+            raise ValueError(f"component counts must be int: {self}")
         if m < 0 or k < 0 or t < 0:
             raise ValueError(f"component counts must be nonnegative: {self}")
         return self
 
 
-def transport_betti(bY: BettiTable, profile: FixedLocusProfile) -> BettiTable:
+def transport_betti(bY: Sequence[int], profile: FixedLocusProfile) -> tuple[int, ...]:
     """Betti numbers of the crepant partial resolution W of Y.
 
     Adds (p - 1) * b_{j-2}(S) in every degree j for each of the k K3 and t
@@ -98,14 +98,14 @@ def transport_betti(bY: BettiTable, profile: FixedLocusProfile) -> BettiTable:
         b4(W) = b4(Y) + (p - 1)(22k + 6t)
     """
     scale = profile.p - 1
-    w = list(bY.b)
+    w = list(bY)
     for surface, count in ((K3_BETTI, profile.k), (TORUS2_BETTI, profile.t)):
         for i, bs in enumerate(surface):
             w[i + 2] += scale * count * bs
-    return BettiTable(tuple(w), strict_hk=bY.strict_hk)
+    return tuple(w)
 
 
-def orbifold_salamon_defect(bW: BettiTable, profile: FixedLocusProfile) -> int:
+def orbifold_salamon_defect(bW: Sequence[int], profile: FixedLocusProfile) -> int:
     """b4(W) + b3(W) - 10*b2(W) - 46 + m(p - 1).
 
     Zero exactly when the orbifold Salamon relation holds on W, whose m
@@ -123,8 +123,8 @@ def lefschetz_euler_fixed(profile: FixedLocusProfile) -> int:
     """
     return (
         profile.m * 1
-        + profile.k * euler_characteristic(BettiTable(K3_BETTI))
-        + profile.t * euler_characteristic(BettiTable(TORUS2_BETTI))
+        + profile.k * euler_characteristic(K3_BETTI)
+        + profile.t * euler_characteristic(TORUS2_BETTI)
     )
 
 

@@ -1,12 +1,10 @@
-"""Betti tables of compact 8-real-dimensional spaces and hyperkahler 4-fold
-Chern arithmetic.
+"""Betti tables of compact hyperkahler 4-folds and their Chern arithmetic.
 
-A :class:`BettiTable` always carries all nine entries b0..b8; spaces of lower
-real dimension (surfaces, exceptional fibers) are represented with zeros in
-the missing top degrees, so Euler characteristics and degree-shifting
-transport act on total data.  The ``strict_hk`` flag opts into the invariants
-of a compact hyperkahler 4-fold; it is a flag rather than unconditional so
-that quotient spaces, which are not manifolds, fit in the same type.
+A :class:`BettiTable` is the tuple b0..b8 of a compact hyperkahler 4-fold,
+checked when it is built.  The formulas here and in ``quotient`` take any
+sequence of entries and use only +, - and *, so they also run on the tables of
+other spaces (surfaces, quotients) and on polynomials; a caller checks a table
+with BettiTable where it claims to be a 4-fold's.
 
 The fixed surfaces of the quotient transport are plain data: K3_BETTI and
 TORUS2_BETTI are b0..b4 of a K3 surface and of a complex 2-torus.
@@ -14,7 +12,7 @@ TORUS2_BETTI are b0..b4 of a K3 surface and of a complex 2-torus.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 K3_BETTI = (1, 0, 22, 0, 1)
 TORUS2_BETTI = (1, 4, 6, 4, 1)
@@ -24,35 +22,27 @@ class InadmissiblePairError(ValueError):
     """A (b2, b3) pair that no compact hyperkahler 4-fold can carry."""
 
 
-class _BettiTable(NamedTuple):
-    b: tuple[int, ...]
-    strict_hk: bool = False
-
-
-class BettiTable(_BettiTable):
-    """Betti numbers b0..b8, zero-padded from shorter input; ``bt[j]`` is b_j."""
+class BettiTable(tuple):
+    """The Betti numbers b0..b8 of a compact hyperkahler 4-fold, checked;
+    ``bt[j]`` is b_j."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, it: cls(*it))  # checked, and so is _replace
 
-    def __new__(cls, b: Iterable[int], strict_hk: bool = False) -> BettiTable:
-        b = tuple(int(x) for x in b)
-        if len(b) > 9:
-            raise ValueError(f"at most 9 Betti numbers expected, got {len(b)}")
-        b += (0,) * (9 - len(b))
+    def __new__(cls, b: Iterable[int]) -> BettiTable:
+        b = tuple(b)
+        if len(b) != 9:
+            raise ValueError(f"9 Betti numbers expected, got {len(b)}")
+        if any(type(x) is not int for x in b):
+            raise ValueError(f"Betti numbers must be int, got {b}")
         if any(x < 0 for x in b):
             raise ValueError(f"negative Betti number in {b}")
-        if strict_hk:
-            if b[0] != 1 or b[8] != 1 or b[1] != 0 or b[7] != 0:
-                raise ValueError(f"not a hyperkahler 4-fold table: {b}")
-            if any(b[j] != b[8 - j] for j in range(9)):
-                raise ValueError(f"Poincare duality fails: {b}")
-            if b[3] % 2 != 0:
-                raise ValueError(f"odd b3 = {b[3]} is impossible on a hyperkahler 4-fold")
-        return super().__new__(cls, b, strict_hk)
-
-    def __getitem__(self, j: int) -> int:  # type: ignore[override]
-        return self.b[j]
+        if b[0] != 1 or b[8] != 1 or b[1] != 0 or b[7] != 0:
+            raise ValueError(f"not a hyperkahler 4-fold table: {b}")
+        if any(b[j] != b[8 - j] for j in range(9)):
+            raise ValueError(f"Poincare duality fails: {b}")
+        if b[3] % 2 != 0:
+            raise ValueError(f"odd b3 = {b[3]} is impossible on a hyperkahler 4-fold")
+        return super().__new__(cls, b)
 
 
 class ChernData(NamedTuple):
@@ -115,14 +105,14 @@ def betti_from_pair(b2: int, b3: int) -> BettiTable:
     InadmissiblePairError on the pairs admissible_b4 rejects.
     """
     b4 = admissible_b4(b2, b3)
-    return BettiTable((1, 0, b2, b3, b4, b3, b2, 0, 1), strict_hk=True)
+    return BettiTable((1, 0, b2, b3, b4, b3, b2, 0, 1))
 
 
-def salamon_defect(bt: BettiTable) -> int:
+def salamon_defect(bt: Sequence[int]) -> int:
     """b4 + b3 - 10*b2 - 46; zero exactly when the Salamon relation holds."""
     return bt[4] + bt[3] - 10 * bt[2] - 46
 
 
-def euler_characteristic(bt: BettiTable) -> int:
+def euler_characteristic(bt: Sequence[int]) -> int:
     """Topological Euler characteristic: the alternating sum of all entries."""
-    return sum(b if j % 2 == 0 else -b for j, b in enumerate(bt.b))
+    return sum(bt[0::2]) - sum(bt[1::2])

@@ -43,11 +43,50 @@ MUTANTS = [
     ),
     (
         "topology.py",
-        "            if b[3] % 2 != 0:\n"
-        '                raise ValueError(f"odd b3 = {b[3]} is impossible on a '
+        "        if b[3] % 2 != 0:\n"
+        '            raise ValueError(f"odd b3 = {b[3]} is impossible on a '
         'hyperkahler 4-fold")\n',
         "",
         "BettiTable drops the odd-b3 check",
+    ),
+    (
+        "topology.py",
+        "        if len(b) != 9:\n"
+        '            raise ValueError(f"9 Betti numbers expected, got {len(b)}")\n',
+        "",
+        "BettiTable drops the nine-entry check",
+    ),
+    (
+        "topology.py",
+        "        if any(type(x) is not int for x in b):\n"
+        '            raise ValueError(f"Betti numbers must be int, got {b}")\n',
+        "",
+        "BettiTable drops the int-entry check",
+    ),
+    (
+        "pipeline.py",
+        "forms.append(BettiTable(bW))",
+        "forms.append(bW)",
+        "prove keeps b(W) without checking it is a 4-fold's table",
+    ),
+    (
+        "pipeline.py",
+        "        if type(p) is not int or not is_prime(p):\n",
+        "        if not is_prime(p):\n",
+        "prove takes a prime that equals an int, such as 2.0",
+    ),
+    (
+        "quotient.py",
+        "    if type(p) is not int or not is_prime(p):\n",
+        "    if not is_prime(p):\n",
+        "FixedLocusProfile takes a prime that equals an int, such as 2.0",
+    ),
+    (
+        "quotient.py",
+        "        if any(type(n) is not int for n in (m, k, t)):\n"
+        '            raise ValueError(f"component counts must be int: {self}")\n',
+        "",
+        "FixedLocusProfile drops the int-count check",
     ),
     (
         "quotient.py",

@@ -1,9 +1,9 @@
 """Independent reference implementations the tests compare the package
 against: a token-split reader of candidate rows, a rational quadratic solver,
 the Riemann-Roch quadratic in its rational and fully general forms, the
-Kuenneth product behind the Betti transport, and integer polynomials with
-unchecked stand-ins for BettiTable and FixedLocusProfile, on which the
-package's formulas run symbolically."""
+Kuenneth product behind the Betti transport, and integer polynomials with an
+unchecked stand-in for FixedLocusProfile, on which the package's formulas run
+symbolically."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from hk4verify.exact import rational_sqrt_exact
-from hk4verify.topology import BettiTable, InadmissiblePairError, admissible_b4
+from hk4verify.topology import InadmissiblePairError, admissible_b4
 
 
 class ReferenceFormatError(ValueError):
@@ -167,13 +167,13 @@ class ExceptionalFiber:
         # degree 2, no odd cohomology.
         return (1, 0, self.chain_length)
 
-    def betti(self) -> BettiTable:
-        """Betti numbers of surface x chain via the Kuenneth formula."""
+    def betti(self) -> tuple[int, ...]:
+        """Betti numbers b0..b8 of surface x chain via the Kuenneth formula."""
         out = [0] * 9
         for i, bs in enumerate(self.surface):
             for j, bc in enumerate(self.chain_betti()):
                 out[i + j] += bs * bc
-        return BettiTable(tuple(out))
+        return tuple(out)
 
 
 def is_prime(n: int) -> bool:
@@ -181,7 +181,7 @@ def is_prime(n: int) -> bool:
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
-def exceptional_betti(surface: tuple[int, ...], p: int) -> BettiTable:
+def exceptional_betti(surface: tuple[int, ...], p: int) -> tuple[int, ...]:
     """Betti table of S x C_p for a prime p (degrees 0..6, zeros above)."""
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -243,18 +243,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.terms!r})"
-
-
-class SymbolicBetti:
-    """BettiTable's ``b``, ``strict_hk`` and indexing, zero-padded to nine
-    entries, without its checks, which compare and convert to int."""
-
-    def __init__(self, b: tuple[object, ...], strict_hk: bool = False) -> None:
-        self.b = tuple(b) + (0,) * (9 - len(b))
-        self.strict_hk = strict_hk
-
-    def __getitem__(self, j: int) -> object:
-        return self.b[j]
 
 
 #: FixedLocusProfile's fields, without its primality and sign checks.

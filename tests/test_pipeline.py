@@ -35,7 +35,6 @@ from hk4verify.exact import format_rational
 from hk4verify.riemann_roch import filter_candidates
 from hk4verify.quotient import FixedLocusProfile, transport_betti
 from hk4verify.topology import (
-    BettiTable,
     InadmissiblePairError,
     betti_from_pair,
     chern_from_betti,
@@ -366,13 +365,16 @@ def test_prove_exclusion_betti_w_is_the_transport_at_each_t():
     for cert in certs:
         profile = FixedLocusProfile(p=cert.prime, m=0, k=0, t=cert.t)
         bW = transport_betti(betti_from_pair(*cert.candidate), profile)
-        assert cert.details["betti_W"] == bW.b
+        assert cert.details["betti_W"] == bW
 
 
 def test_prove_input_validation():
     cf = builtin_candidates()
     with pytest.raises(ValueError):
         prove(cf, primes=(4,), t_max=1)
+    for p in (2.0, F(2), True):  # equal to 2 or 1, but not of type int
+        with pytest.raises(ValueError, match="not a prime"):
+            prove(cf, primes=(p,), t_max=0)
     with pytest.raises(ValueError):
         prove(cf, primes=(2,), t_max=-1)
     # len() of the result can count up to sys.maxsize and no further
@@ -415,7 +417,6 @@ def test_prove_with_a_16_digit_prime_is_fast():
 def test_value_types_are_immutable():
     # the package docstring promises that all values are immutable
     values = [
-        (BettiTable((1, 0, 22, 0, 1)), "b"),
         (chern_from_betti(23, 0), "c4"),
         (FixedLocusProfile(p=2, m=0, k=0, t=0), "t"),
         (filter_candidates([(23, 0)])[0], "accepted"),
@@ -426,11 +427,15 @@ def test_value_types_are_immutable():
             setattr(value, field, getattr(value, field))
         with pytest.raises(AttributeError):
             value.extra = 1
+    bt = betti_from_pair(23, 0)
+    with pytest.raises(TypeError):
+        bt[2] = 24
+    with pytest.raises(AttributeError):
+        bt.extra = 1
 
 
 def test_replace_and_make_run_the_constructor_checks():
     values = [
-        (BettiTable((1, 0, 22, 0, 1)), {"b": (1, -1)}, "negative Betti number"),
         (FixedLocusProfile(p=2, m=0, k=0, t=0), {"p": 4, "m": -1}, "p must be prime"),
         (filter_candidates([(23, 0)])[0], {"accepted": False}, "accepted must mirror"),
     ]
@@ -448,9 +453,9 @@ def _broken_fixed_locus(profile):
 
 
 def _broken_transport(bY, profile):
-    b = list(bY.b)
+    b = list(bY)
     b[2] += profile.t  # no matching b4 term: Salamon defect -10*t
-    return BettiTable(tuple(b))
+    return tuple(b)
 
 
 @pytest.mark.parametrize(
@@ -473,10 +478,24 @@ def test_verification_error_names_triple_and_identity(
     assert (err.candidate, err.prime, err.t, err.identity) == ((4, 32), 3, 1, identity)
 
 
+def _broken_transport_duality(bY, profile):
+    b = list(bY)
+    b[5] += 2 * profile.t  # Salamon, orbifold Salamon and chi_top(W) unchanged
+    b[6] += 2 * profile.t
+    return tuple(b)
+
+
+def test_transport_without_poincare_duality_fails_the_betti_table_check(monkeypatch):
+    # prove checks b(W) with BettiTable after its named identities
+    monkeypatch.setattr("hk4verify.pipeline.transport_betti", _broken_transport_duality)
+    with pytest.raises(ValueError, match="Poincare duality fails"):
+        prove(parse_candidates("b2,b3\n4,32\n"), primes=(3,), t_max=0)
+
+
 def _broken_transport_chi(bY, profile):
-    b = list(bY.b)
+    b = list(bY)
     b[0] += profile.t  # Salamon defect unchanged, chi_top(W) = t
-    return BettiTable(tuple(b))
+    return tuple(b)
 
 
 @pytest.mark.parametrize(
