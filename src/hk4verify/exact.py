@@ -48,15 +48,16 @@ def rational_sqrt_exact(q: Fraction) -> Fraction | None:
     return Fraction(num, den)
 
 
-# Number text, shared by candidate files, the CLI and the reports: an integer
-# is an optional sign and ASCII digits (int() alone would also take "1_0",
-# non-ASCII digits and other whitespace), a rational is an integer with an
-# optional "/" and an unsigned denominator, and a field may carry BLANKS, the
-# only whitespace allowed, around its text.
+# Number text, shared by candidate files, the CLI and the reports: DIGITS are
+# ASCII digits (int() alone would also take "1_0", non-ASCII digits and other
+# whitespace), an integer is an optional sign and DIGITS, a rational is an
+# integer with an optional "/" and DIGITS for its denominator, and a field may
+# carry BLANKS, the only whitespace allowed, around its text.
 BLANKS = " \t"
-INT = r"[+-]?[0-9]+"
+DIGITS = "[0-9]+"
+INT = f"[+-]?{DIGITS}"
 PAD = f"[{BLANKS}]*"
-_FIELD_RE = re.compile(rf"{PAD}({INT})(?:/([0-9]+))?{PAD}")
+_FIELD_RE = re.compile(rf"{PAD}({INT})(?:/({DIGITS}))?{PAD}")
 
 
 def parse_int(text: str) -> int:

@@ -8,12 +8,18 @@ non-comment line must be the header ``b2,b3``, and every following line
 holds two comma-separated integers, spelled as in ``exact`` (the one home
 of the number grammar).  Spaces and tabs around a field are ignored; any
 other whitespace in a line is an error.  One anchored ASCII pattern
-(``_ROW_RE``) is the only thing that accepts a data row; other lines are
-comments, blank, the header, or errors.  Malformed input (bad header,
-non-integer or over-long fields, non-UTF-8 bytes) is an error; inadmissible
-rows (negative values, odd b3, negative forced b4, duplicates) are kept as
-flagged rows with an error annotation, never silently dropped.  A CandidateFile
-holds the valid pairs in file order with the line of each, and the flagged rows.
+(``_ROW_RE``) accepts a data row; other lines are comments, blank, the
+header, or errors.  A plain body, every line after the header unsigned
+digits, one comma and an LF (``_PLAIN_BODY_RE``), is read in bulk; each
+plain line also fullmatches ``_ROW_RE``, so the bulk reader accepts a subset
+of what the per-line reader does.  Any other body (CRLF, blanks around a
+field, comments, signs) and a plain body with a row to flag or refuse are
+read line by line, by the reader that writes every message and flagged
+row.  Malformed input (bad header, non-integer or over-long fields,
+non-UTF-8 bytes) is an error; inadmissible rows (negative values, odd b3,
+negative forced b4, duplicates) are kept as flagged rows with an error
+annotation, never silently dropped.  A CandidateFile holds the valid pairs
+in file order with the line of each, and the flagged rows.
 
 The contradiction pipeline
 --------------------------
@@ -53,13 +59,15 @@ import json
 import os
 import re
 import sys
+from collections import deque
 from enum import Enum
 from fractions import Fraction
 from functools import partial
+from itertools import starmap
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from ._version import __version__
-from .exact import BLANKS, INT, PAD, format_rational
+from .exact import BLANKS, DIGITS, INT, PAD, format_rational
 from .quotient import (
     FixedLocusProfile,
     is_prime,
@@ -250,9 +258,18 @@ _HYPOTHESES_EXCLUSION = _HYPOTHESES_COMMON + (
 # ---------------------------------------------------------------------------
 # Candidate ingestion
 
-#: The one pattern that accepts a data row: two integer fields around a comma,
-#: blanks around each field, and the "\r" of a CRLF line ending.
+#: The pattern of a data row: two integer fields around a comma, blanks around
+#: each field, and the "\r" of a CRLF line ending.
 _ROW_RE = re.compile(rf"{PAD}({INT}){PAD},{PAD}({INT}){PAD}\r?")
+
+#: A plain body, read in bulk: every line after the header two DIGITS fields
+#: around one comma and an LF.  A plain line fullmatches _ROW_RE too.
+_PLAIN_BODY_RE = re.compile(rf"(?:{DIGITS},{DIGITS}\n)*")
+#: Characters of a plain body read per step, rounded up to a whole line.  The
+#: regex engine keeps a backtracking entry per line it repeats over (about
+#: 18 MB for the 105,324 lines of the b2 <= 200 region in one piece), and
+#: the field strings of a step are freed before the next.
+_PLAIN_SLICE = 16384
 
 
 #: Pairs accepted by the rational-square filter; the default prove fixture.
@@ -276,13 +293,73 @@ def parse_candidates(
         raw = text.encode("utf-8", "surrogatepass")  # a str may hold lone surrogates
         digest = "sha256:" + hashlib.sha256(raw).hexdigest()
     provenance: list[str] = []
+    lineno, start = 1, 0  # the line being read and its offset in text
+    while True:  # comments and blank lines, up to the header
+        end = text.find("\n", start)
+        line = text[start:] if end < 0 else text[start:end]
+        line = line.removesuffix("\r").strip(BLANKS)
+        if line.startswith("#"):
+            provenance.append(line.lstrip("#").strip(BLANKS))
+        elif line:
+            if [tok.strip(BLANKS) for tok in line.split(",")] != ["b2", "b3"]:
+                raise CandidateFormatError(
+                    f"{path}:{lineno}: expected header 'b2,b3', got {line!r}"
+                )
+            break
+        if end < 0:
+            raise CandidateFormatError(f"{path}: missing 'b2,b3' header line")
+        lineno, start = lineno + 1, end + 1
+    body = "" if end < 0 else text[end + 1:]
+    seen = _read_plain_body(body, lineno + 1)
+    flagged: list[CandidateRow] = []
+    if seen is None:
+        seen, flagged = _read_rows(body, lineno + 1, path)
+    return CandidateFile(
+        path=path, pairs=tuple(seen), pair_lines=tuple(seen.values()),
+        flagged=tuple(flagged), provenance="\n".join(provenance), digest=digest,
+    )
+
+
+def _read_plain_body(body: str, first_line: int) -> dict[tuple[int, int], int] | None:
+    """Each pair of a plain body at its line, counted from ``first_line``,
+    read in bulk; None when the body is not plain (_PLAIN_BODY_RE) or holds a
+    row that _read_rows flags or refuses: a field longer than int() converts,
+    a duplicate or an inadmissible pair."""
+    pairs: list[tuple[int, int]] = []
+    start = 0
+    while start < len(body):  # in slices of whole lines
+        end = body.find("\n", start + _PLAIN_SLICE) + 1 or len(body)
+        if not _PLAIN_BODY_RE.fullmatch(body, start, end):
+            return None
+        numbers = map(int, body[start:end - 1].replace("\n", ",").split(","))
+        try:
+            pairs += zip(numbers, numbers)
+        except ValueError:  # more digits than int() converts
+            return None
+        start = end
+    seen = dict(zip(pairs, range(first_line, first_line + len(pairs))))
+    if len(seen) != len(pairs):  # a duplicate
+        return None
+    try:
+        deque(starmap(admissible_b4, pairs), maxlen=0)
+    except InadmissiblePairError:
+        return None
+    return seen
+
+
+def _read_rows(
+    body: str, first_line: int, path: str
+) -> tuple[dict[tuple[int, int], int], list[CandidateRow]]:
+    """Each valid pair of ``body`` at its line, and the flagged rows, read one
+    line at a time from line ``first_line``: the reader of every body that
+    _read_plain_body does not read, and the only one that flags a row or
+    refuses a line."""
     flagged: list[CandidateRow] = []
     seen: dict[tuple[int, int], int] = {}  # the first line of each pair read
     inadmissible: list[tuple[int, int]] = []
-    header_seen = False
     match_row = _ROW_RE.fullmatch
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        if header_seen and (match := match_row(raw)):
+    for lineno, raw in enumerate(body.split("\n"), start=first_line):
+        if match := match_row(raw):
             try:
                 b2, b3 = int(match[1]), int(match[2])
             except ValueError:  # more digits than int() converts
@@ -299,35 +376,18 @@ def parse_candidates(
                 flagged.append(CandidateRow(lineno, b2, b3, str(exc)))
                 inadmissible.append((b2, b3))
             continue
-        # comments, blank lines, the header, and data lines _ROW_RE refused
+        # comments, blank lines, and data lines _ROW_RE refused
         line = raw.removesuffix("\r").strip(BLANKS)
-        if not line:
+        if not line or line.startswith("#"):
             continue
-        if line.startswith("#"):
-            if not header_seen:
-                provenance.append(line.lstrip("#").strip(BLANKS))
-            continue
-        tokens = [tok.strip(BLANKS) for tok in line.split(",")]
-        if not header_seen:
-            if tokens != ["b2", "b3"]:
-                raise CandidateFormatError(
-                    f"{path}:{lineno}: expected header 'b2,b3', got {line!r}"
-                )
-            header_seen = True
-            continue
-        if len(tokens) != 2:
+        if line.count(",") != 1:
             raise CandidateFormatError(
                 f"{path}:{lineno}: expected two comma-separated fields, got {line!r}"
             )
         raise CandidateFormatError(f"{path}:{lineno}: non-integer field in {line!r}")
-    if not header_seen:
-        raise CandidateFormatError(f"{path}: missing 'b2,b3' header line")
     for pair in inadmissible:  # what remains is each valid pair at its line
         del seen[pair]
-    return CandidateFile(
-        path=path, pairs=tuple(seen), pair_lines=tuple(seen.values()),
-        flagged=tuple(flagged), provenance="\n".join(provenance), digest=digest,
-    )
+    return seen, flagged
 
 
 def load_candidates(path: str | os.PathLike[str]) -> CandidateFile:
@@ -364,8 +424,8 @@ def prove(
     at the run's first t.  Raises VerificationError if any triple fails to
     produce a contradiction or an internal identity breaks.
     """
-    if t_max < 0:
-        raise ValueError(f"t_max must be nonnegative, got {t_max}")
+    if type(t_max) is not int or t_max < 0:
+        raise ValueError(f"t_max must be a nonnegative int, got {t_max!r}")
     primes = tuple(primes)
     if not primes:
         raise ValueError("at least one prime is required")
@@ -464,7 +524,14 @@ def _prove_candidate(
                     f"chi_top(W) = {chi_W} should vanish for ({b2}, {b3}), p={p}, t={t}",
                     candidate=candidate, prime=p, t=t, identity="chi_top_W",
                 )
-            forms.append(BettiTable(bW))
+            try:
+                forms.append(BettiTable(bW))
+            except ValueError as exc:
+                raise VerificationError(
+                    f"b(W) is not a hyperkahler 4-fold table for ({b2}, {b3}), "
+                    f"p={p}, t={t}: {exc}",
+                    candidate=candidate, prime=p, t=t, identity="betti_W",
+                ) from None
         base, at_1 = forms
         betti_W = AffineBetti(base, tuple([y - x for x, y in zip(base, at_1)]))
         out.append(CertificateRun(

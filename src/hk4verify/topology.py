@@ -55,7 +55,7 @@ class ChernData(NamedTuple):
 def c4_from_betti(b2: int, b3: int) -> int:
     """c4 = 48 + 12*b2 - 3*b3 of a hyperkahler 4-fold with Betti numbers b2
     and b3; with 3*c2sq - c4 = 2160 it fixes both Chern numbers.  No check on
-    the pair (chern_from_betti rejects negative values)."""
+    the pair (chern_from_betti rejects non-int and negative values)."""
     return 48 + 12 * b2 - 3 * b3
 
 
@@ -66,10 +66,12 @@ def chern_from_betti(b2: int, b3: int) -> ChernData:
         c4    = 48 + 12*b2 - 3*b3      (c4_from_betti)
         c2sq  = (c4 + 2160) / 3 = 736 + 4*b2 - b3
 
-    Total on nonnegative pairs even when the result is geometrically
+    Total on nonnegative int pairs even when the result is geometrically
     unrealizable (c4 may come out negative), so candidate sweeps never crash
     on junk rows.
     """
+    if type(b2) is not int or type(b3) is not int:
+        raise ValueError(f"Betti numbers must be int, got ({b2!r}, {b3!r})")
     if b2 < 0 or b3 < 0:
         raise ValueError(f"Betti numbers must be nonnegative, got ({b2}, {b3})")
     c4 = c4_from_betti(b2, b3)
@@ -80,9 +82,11 @@ def admissible_b4(b2: int, b3: int) -> int:
     """The b4 that the Salamon relation b4 + b3 - 10*b2 = 46 forces on an
     admissible (b2, b3) pair.
 
-    Raises InadmissiblePairError when b2 or b3 is negative, b3 is odd, or the
-    forced b4 would be negative.
+    Raises InadmissiblePairError when b2 or b3 is not an int or is negative,
+    b3 is odd, or the forced b4 would be negative.
     """
+    if type(b2) is not int or type(b3) is not int:
+        raise InadmissiblePairError(f"Betti numbers must be int, got ({b2!r}, {b3!r})")
     if b2 < 0 or b3 < 0:
         raise InadmissiblePairError(
             f"Betti numbers must be nonnegative, got ({b2}, {b3})"

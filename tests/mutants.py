@@ -155,6 +155,44 @@ MUTANTS = [
     ),
     (
         "pipeline.py",
+        "    if len(seen) != len(pairs):  # a duplicate\n        return None\n",
+        "",
+        "the bulk reader drops the duplicate check",
+    ),
+    (
+        "pipeline.py",
+        "range(first_line, first_line + len(pairs))",
+        "range(first_line + 1, first_line + 1 + len(pairs))",
+        "the bulk reader numbers its rows from one line too late",
+    ),
+    (
+        "pipeline.py",
+        "        deque(starmap(admissible_b4, pairs), maxlen=0)\n",
+        "        pass\n",
+        "the bulk reader skips the admissibility pass",
+    ),
+    (
+        "pipeline.py",
+        'body.find("\\n", start + _PLAIN_SLICE) + 1 or len(body)',
+        'body.find("\\n", start + _PLAIN_SLICE) or len(body)',
+        "a bulk slice ends before its LF, so no body is read in bulk",
+    ),
+    (
+        "topology.py",
+        "    if type(b2) is not int or type(b3) is not int:\n"
+        '        raise InadmissiblePairError(f"Betti numbers must be int, '
+        'got ({b2!r}, {b3!r})")\n',
+        "",
+        "admissible_b4 takes a float pair",
+    ),
+    (
+        "pipeline.py",
+        "    if type(t_max) is not int or t_max < 0:\n",
+        "    if t_max < 0:\n",
+        "prove takes a t_max that equals an int, such as 2.0",
+    ),
+    (
+        "pipeline.py",
         "    for t in (0, 1):  # chi_top of the fixed locus is affine in t\n",
         "    for t in (0,):\n",
         "the fixed-locus form is checked at t = 0 only",

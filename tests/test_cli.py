@@ -11,7 +11,7 @@ import pytest
 import hk4verify
 from hk4verify.cli import main
 from hk4verify.pipeline import emit_filter_report, filter_report_chunks, parse_candidates
-from test_pipeline import FLAGGED_ROWS, _region_text
+from test_pipeline import FLAGGED_ROWS, _broken_transport_duality, _region_text
 
 FOUR_PAIRS = "b2,b3\n23,0\n7,8\n6,4\n5,0\n"
 
@@ -302,6 +302,21 @@ def test_verification_failure_exits_2(tmp_path, monkeypatch, capsys):
         "verification failed: fixed locus of 1 tori must have chi_top 0, got 1\n"
     )
     assert sorted(tmp_path.iterdir()) == []  # no report file, not even an empty one
+
+
+def test_a_b_w_that_is_not_a_4_fold_table_exits_2(tmp_path, monkeypatch, capsys):
+    # b5 and b6 off by 2t: every named identity holds, BettiTable refuses b(W)
+    monkeypatch.setattr("hk4verify.pipeline.transport_betti", _broken_transport_duality)
+    src = tmp_path / "c4zero.csv"
+    src.write_text("b2,b3\n4,32\n")  # c4 = 0: the Table1Exclusion branch
+    out = tmp_path / "r.json"
+    argv = ["prove", "--candidates", str(src), "--primes", "3", "--t-max", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        "verification failed: b(W) is not a hyperkahler 4-fold table for (4, 32), p=3, t=1: "
+        "Poincare duality fails"
+    )
+    assert sorted(tmp_path.iterdir()) == [src]  # no report file
 
 
 def test_prove_writes_the_pinned_report_on_b2_le_9_region(tmp_path):

@@ -191,6 +191,84 @@ def test_parse_rows_match_token_split_reference_at_scale():
     assert (0, 48, "duplicate") in errors and len(lines) > 3000
 
 
+_admissible_row = st.integers(0, 30).flatmap(
+    lambda b2: st.integers(0, 23 + 5 * b2).map(lambda h: f"{b2},{2 * h}")
+)
+#: each perturbation of a plain body, and whether the body stays plain
+_PERTURBATIONS = {
+    "none": (lambda rows, i: None, True),
+    "leading zeros": (lambda rows, i: rows.__setitem__(i, "00" + rows[i]), True),
+    "duplicate": (lambda rows, i: rows.insert(i + 1, rows[i]), False),
+    "odd b3": (lambda rows, i: rows.insert(i, "5,3"), False),
+    "negative b4": (lambda rows, i: rows.insert(i, "0,48"), False),
+    "comment": (lambda rows, i: rows.insert(i, "# note"), False),
+    "blank line": (lambda rows, i: rows.insert(i, ""), False),
+    "crlf": (lambda rows, i: rows.__setitem__(i, rows[i] + "\r"), False),
+    "plus sign": (lambda rows, i: rows.__setitem__(i, "+" + rows[i]), False),
+    "minus sign": (lambda rows, i: rows.__setitem__(i, "-" + rows[i]), False),
+    "blank around a field": (lambda rows, i: rows.__setitem__(i, " " + rows[i]), False),
+    "over-long field": (
+        lambda rows, i: rows.__setitem__(i, "1" * (sys.get_int_max_str_digits() + 1) + ",0"),
+        False,
+    ),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_admissible_row, min_size=1, max_size=12, unique=True),
+    st.sampled_from(sorted(_PERTURBATIONS)),
+    st.integers(0, 11),
+    st.sampled_from([1, 9, pipeline._PLAIN_SLICE]),
+    st.sampled_from(["", "# from a table\n", "# a\n\n#\tb\n"]),
+)
+def test_plain_body_reads_like_the_token_split_reference(rows, kind, i, size, preamble):
+    # a plain body is read in bulk, in slices of at least ``size`` characters;
+    # any other body, and a plain one with a row to flag, line by line
+    perturb, plain = _PERTURBATIONS[kind]
+    i %= len(rows)
+    perturb(rows, i)
+    text = preamble + "b2,b3\n" + "".join(row + "\n" for row in rows)
+    calls = []
+    read_rows = pipeline._read_rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_PLAIN_SLICE", size)
+        mp.setattr(pipeline, "_read_rows", lambda *a: calls.append(a) or read_rows(*a))
+        if kind == "over-long field":
+            line = preamble.count("\n") + 2 + i
+            with pytest.raises(CandidateFormatError, match=f"^<memory>:{line}: integer"):
+                parse_candidates(text)
+            return
+        cf = parse_candidates(text)
+    expected = read_rows_by_tokens(text)
+    valid = [(n, (b2, b3)) for n, b2, b3, error in expected if error is None]
+    assert list(cf.pairs) == [pair for _, pair in valid]
+    assert list(cf.pair_lines) == [n for n, _ in valid]
+    assert [tuple(row) for row in cf.flagged] == [row for row in expected if row[3]]
+    assert (not calls) == plain
+
+
+@settings(max_examples=50, deadline=None)  # from_regex draws slowly
+@given(st.from_regex(pipeline._PLAIN_BODY_RE, fullmatch=True))
+def test_a_plain_row_is_a_row(body):
+    # the bulk reader accepts a subset of the lines the per-line reader does
+    for line in body.splitlines():
+        match = pipeline._ROW_RE.fullmatch(line)
+        assert match and f"{match[1]},{match[2]}" == line
+
+
+def test_plain_body_lines_count_the_preamble():
+    text = "# provenance\n\n# more\n b2 , b3 \n" + _region_text(30).removeprefix("b2,b3\n")
+    cf = parse_candidates(text)
+    assert len(text) > pipeline._PLAIN_SLICE  # read in two slices
+    assert cf.pair_lines == tuple(range(5, 5 + len(cf.pairs)))
+    assert cf.pairs == parse_candidates(_region_text(30)).pairs
+    assert (cf.flagged, cf.provenance) == ((), "provenance\nmore")
+    # a duplicate in the last slice sends the whole body to the per-line reader
+    cf = parse_candidates(text + "0,0\n")
+    assert (cf.flagged[0].line, cf.flagged[0].error) == (5 + len(cf.pairs), "duplicate of line 5")
+
+
 def test_parse_header_errors():
     with pytest.raises(CandidateFormatError):
         parse_candidates("23,0\n")
@@ -377,6 +455,9 @@ def test_prove_input_validation():
             prove(cf, primes=(p,), t_max=0)
     with pytest.raises(ValueError):
         prove(cf, primes=(2,), t_max=-1)
+    for t_max in (2.0, True, F(2)):  # equal to 2 or 1, but not of type int
+        with pytest.raises(ValueError, match="t_max must be a nonnegative int"):
+            prove(cf, primes=(2,), t_max=t_max)
     # len() of the result can count up to sys.maxsize and no further
     one = parse_candidates("b2,b3\n23,0\n")
     assert len(prove(one, primes=(2,), t_max=sys.maxsize - 1)) == sys.maxsize
@@ -488,8 +569,10 @@ def _broken_transport_duality(bY, profile):
 def test_transport_without_poincare_duality_fails_the_betti_table_check(monkeypatch):
     # prove checks b(W) with BettiTable after its named identities
     monkeypatch.setattr("hk4verify.pipeline.transport_betti", _broken_transport_duality)
-    with pytest.raises(ValueError, match="Poincare duality fails"):
+    with pytest.raises(VerificationError, match="Poincare duality fails") as exc:
         prove(parse_candidates("b2,b3\n4,32\n"), primes=(3,), t_max=0)
+    err = exc.value
+    assert (err.candidate, err.prime, err.t, err.identity) == ((4, 32), 3, 1, "betti_W")
 
 
 def _broken_transport_chi(bY, profile):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from hk4verify.topology import (
     InadmissiblePairError,
     K3_BETTI,
     TORUS2_BETTI,
+    admissible_b4,
     betti_from_pair,
     chern_from_betti,
     euler_characteristic,
@@ -32,6 +35,17 @@ def test_chern_from_betti_rejects_negative():
         chern_from_betti(-1, 0)
     with pytest.raises(ValueError):
         chern_from_betti(0, -2)
+
+
+@pytest.mark.parametrize(
+    "pair", [(23.5, 0), (23, 0.0), (True, 0), (23, False), (Fraction(23), 0), ("23", 0)]
+)
+def test_chern_from_betti_and_admissible_b4_refuse_non_int_pairs(pair):
+    # a float, bool or Fraction would compute (23.5, 0) -> b4 = 281.0
+    with pytest.raises(ValueError, match=r"^Betti numbers must be int, got \("):
+        chern_from_betti(*pair)
+    with pytest.raises(InadmissiblePairError, match=r"^Betti numbers must be int, got \("):
+        admissible_b4(*pair)
 
 
 def test_chern_identity_grid():
