@@ -41,15 +41,15 @@ refuses both branches aborts the run, because it would mean the verified
 chain of identities is broken.
 
 Each identity is affine in t and is checked at t = 0 and t = 1, which proves
-it for every t >= 0: the fixed-locus identity chi_top = m + 24k + 0*t = 0 once
-per prime and prove call, and the Salamon balances and chi_top(W) = 0 once per
-Table1Exclusion (candidate, prime).  Certificates are held as runs that share
-all but t (``CertificateRun``), one per (candidate, prime) on either branch;
-the LefschetzMismatch runs with equal chi_top(X) and p share one details
-object, and a Table1Exclusion run keeps b(W) as the checked affine form in t
-(``AffineBetti``).  ``prove`` returns them as ``Certificates`` (the runs,
-``len``, iteration in sweep order and ``branch_counts()``), the value
-``report_chunks`` streams and ``emit_report`` joins.
+it for every t >= 0.  Before the sweep, prove builds what no candidate
+changes: the values at c4(W) = 0, and each prime's m and k with its
+fixed-locus identity chi_top = m + 24k + 0*t = 0.  The sweep checks the
+Salamon balances and chi_top(W) = 0 once per Table1Exclusion (candidate,
+prime) and holds the certificates as runs, one per (candidate, prime), that
+share all but t (``CertificateRun``); the LefschetzMismatch runs with equal
+chi_top(X) and p share one details object, and a Table1Exclusion run keeps
+b(W) as the checked affine form in t (``AffineBetti``).  ``prove`` returns the
+runs as ``Certificates``, which ``report_chunks`` streams as one report.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ from .topology import (
     admissible_b4,
     betti_from_pair,
     c4_from_betti,
-    chern_from_betti,
     euler_characteristic,
     salamon_defect,
 )
@@ -437,10 +436,17 @@ def prove(
     expected = len(candidates.pairs) * len(primes) * (t_max + 1)
     if expected > sys.maxsize:  # len() of the result could not be taken
         raise ValueError(f"{expected} certificates exceed sys.maxsize = {sys.maxsize}")
+    fixed = {p: _prime_details(p) for p in primes}  # no candidate changes these
+    d, sqrt, roots = zero_chi(0)  # nor the values at c4(W) = chi_top(W) = 0
+    zero_W = {
+        "salamon_defect_W": 0, "c4_W": 0, "delta": d, "delta_sqrt": sqrt,
+        "lambda_roots": tuple(sorted(roots)),
+    }
+    classes: dict[tuple[int, int], dict[str, object]] = {}
+    ts = range(t_max + 1)
     runs: list[CertificateRun] = []
-    shared: dict[object, dict[str, object]] = {}
     for b2, b3 in candidates.pairs:
-        runs += _prove_candidate(b2, b3, primes, t_max, shared)
+        runs += _prove_candidate(b2, b3, ts, fixed, zero_W, classes)
     certificates = Certificates(runs)
     if len(certificates) != expected:
         raise VerificationError(
@@ -454,54 +460,31 @@ def prove(
 
 
 def _prove_candidate(
-    b2: int, b3: int, primes: tuple[int, ...], t_max: int,
-    shared: dict[object, dict[str, object]],
+    b2: int, b3: int, ts: range, fixed: dict[int, dict[str, object]],
+    zero_W: dict[str, object], classes: dict[tuple[int, int], dict[str, object]],
 ) -> list[CertificateRun]:
-    """The runs of one candidate.  ``shared`` holds the details that one prove
-    call computes once, at the first candidate needing them, keyed by what they
-    depend on: p, (chi_top(X), p), or nothing (None, the zero-chi values)."""
+    """The runs of one candidate over ``ts``, one per prime of ``fixed`` (each
+    prime's details).  ``zero_W`` holds the values at c4(W) = 0, and
+    ``classes`` the details that runs with equal (chi_top(X), p) share."""
+    candidate = (b2, b3)
     bX = betti_from_pair(b2, b3)
     chi_X = euler_characteristic(bX)
-    chern = chern_from_betti(b2, b3)
-    if chi_X != chern.c4:
+    c4 = c4_from_betti(b2, b3)
+    if chi_X != c4:
         raise VerificationError(
-            f"chi_top(X) = {chi_X} disagrees with c4 = {chern.c4} for ({b2}, {b3})",
-            candidate=(b2, b3), identity="chi_top_X",
+            f"chi_top(X) = {chi_X} disagrees with c4 = {c4} for ({b2}, {b3})",
+            candidate=candidate, identity="chi_top_X",
         )
-    candidate = (b2, b3)
-    ts = range(t_max + 1)
     out: list[CertificateRun] = []
-    for p in primes:
-        if p not in shared:
-            shared[p] = _prime_details(candidate, p)
-        details = shared.get((chi_X, p))
-        if details is None:
-            details = shared[chi_X, p] = {"chi_top_X": chi_X, **shared[p]}
+    for p, prime_details in fixed.items():
+        details = classes.setdefault((chi_X, p), {"chi_top_X": chi_X, **prime_details})
         if chi_X != details["chi_top_fixed_locus"]:
             out.append(CertificateRun(
                 candidate, p, ts, Branch.LEFSCHETZ_MISMATCH, details,
                 _HYPOTHESES_COMMON,
             ))
             continue
-        # chi_top(X) = 0: pass through the quotient to the resolution W.  The
-        # checks below pin c4(W) to 0, so the values that read only c4(W) are
-        # computed once per prove call, before them.
-        if None not in shared:
-            roots = admits_zero_chi(0)
-            if roots:
-                raise VerificationError(
-                    f"no contradiction: chi = 0 admits rational roots {sorted(roots)} "
-                    f"at c4 = 0 for ({b2}, {b3}), p={p}, t=0",
-                    candidate=candidate, prime=p, t=0, identity="zero_chi_W",
-                )
-            d, sqrt, _ = zero_chi(0)
-            shared[None] = {
-                "salamon_defect_W": 0,
-                "c4_W": 0,  # c4 equals chi_top on the hyperkahler resolution
-                "delta": d,
-                "delta_sqrt": sqrt,
-                "lambda_roots": tuple(sorted(roots)),
-            }
+        # chi_top(X) = 0: through the quotient to the resolution W, with c4(W) = 0
         forms = []  # b(W) at t = 0 and t = 1
         for t in (0, 1):
             profile = FixedLocusProfile(p=p, m=details["m"], k=details["k"], t=t)
@@ -536,21 +519,21 @@ def _prove_candidate(
         betti_W = AffineBetti(base, tuple([y - x for x, y in zip(base, at_1)]))
         out.append(CertificateRun(
             candidate, p, ts, Branch.TABLE1_EXCLUSION,
-            {**details, "betti_W": betti_W, **shared[None]}, _HYPOTHESES_EXCLUSION,
+            {**details, "betti_W": betti_W, **zero_W}, _HYPOTHESES_EXCLUSION,
         ))
     return out
 
 
-def _prime_details(candidate: tuple[int, int], p: int) -> dict[str, object]:
-    """The details of prime p, which no candidate changes; a broken
-    fixed-locus identity is reported at ``candidate``."""
+def _prime_details(p: int) -> dict[str, object]:
+    """The details of prime p, which no candidate changes, after checking
+    its fixed-locus identity at t = 0 and t = 1."""
     m, k = solve_mk(p)
     for t in (0, 1):  # chi_top of the fixed locus is affine in t
         got = lefschetz_euler_fixed(FixedLocusProfile(p=p, m=m, k=k, t=t))
         if got != 0:
             raise VerificationError(
                 f"fixed locus of {t} tori must have chi_top 0, got {got}",
-                candidate=candidate, prime=p, t=t, identity="chi_top_fixed_locus",
+                prime=p, t=t, identity="chi_top_fixed_locus",
             )
     elimination = mk_elimination_equation(p)
     return {"chi_top_fixed_locus": 0, "m": m, "k": k, "mk_elimination": elimination}

@@ -199,6 +199,18 @@ MUTANTS = [
     ),
     (
         "pipeline.py",
+        "        if admits_zero_chi(c4_W):\n",
+        "        if False:\n",
+        "verify_certificate drops the zero-chi check, prove's only one",
+    ),
+    (
+        "pipeline.py",
+        "classes.setdefault((chi_X, p), ",
+        "classes.setdefault(chi_X, ",
+        "the details of one prime leak into another prime's runs with equal chi_top(X)",
+    ),
+    (
+        "pipeline.py",
         "key = (id(branch), id(details), id(hypotheses))",
         "key = (id(branch), id(details))",
         "the JSON tail key drops hypotheses",

@@ -556,7 +556,8 @@ def test_verification_error_names_triple_and_identity(
         prove(parse_candidates("b2,b3\n4,32\n"), primes=(3,), t_max=2)
     assert str(exc.value) == message
     err = exc.value
-    assert (err.candidate, err.prime, err.t, err.identity) == ((4, 32), 3, 1, identity)
+    candidate = None if name == "lefschetz_euler_fixed" else (4, 32)  # names no pair
+    assert (err.candidate, err.prime, err.t, err.identity) == (candidate, 3, 1, identity)
 
 
 def _broken_transport_duality(bY, profile):
@@ -620,7 +621,18 @@ def test_fixed_locus_identity_is_checked_as_affine_form_in_t(
     assert str(exc.value) == message
     err = exc.value
     assert (err.candidate, err.prime, err.t, err.identity) == (
-        (23, 0), 5, t, "chi_top_fixed_locus",
+        None, 5, t, "chi_top_fixed_locus",
+    )
+
+
+def test_broken_fixed_locus_fails_prove_on_a_file_without_pairs(monkeypatch):
+    # the fixed-locus identity is checked per prime, before the sweep
+    monkeypatch.setattr("hk4verify.pipeline.lefschetz_euler_fixed", _broken_fixed_locus)
+    with pytest.raises(VerificationError) as exc:
+        prove(parse_candidates("b2,b3\n"), primes=(2,), t_max=0)
+    err = exc.value
+    assert (err.candidate, err.prime, err.t, err.identity) == (
+        None, 2, 1, "chi_top_fixed_locus",
     )
 
 
@@ -719,8 +731,8 @@ def test_lefschetz_run_with_zero_chi_top_x_fails_at_its_first_t(monkeypatch):
 
 
 def test_zero_chi_w_with_rational_roots_fails_at_its_first_t(monkeypatch):
-    # checked once per (candidate, prime), before the t loop; LefschetzMismatch
-    # candidates never reach it
+    # verify_certificate checks it at the first t of each Table1Exclusion run;
+    # LefschetzMismatch candidates never reach it
     monkeypatch.setattr("hk4verify.pipeline.admits_zero_chi", lambda c4: {F(-1, 2)})
     with pytest.raises(VerificationError) as exc:
         prove(parse_candidates("b2,b3\n23,0\n4,32\n"), primes=(3, 2), t_max=2)
@@ -728,10 +740,13 @@ def test_zero_chi_w_with_rational_roots_fails_at_its_first_t(monkeypatch):
     assert (err.candidate, err.prime, err.t, err.identity) == (
         (4, 32), 3, 0, "zero_chi_W",
     )
-    assert str(err) == (
-        "no contradiction: chi = 0 admits rational roots [Fraction(-1, 2)] "
-        "at c4 = 0 for (4, 32), p=3, t=0"
-    )
+    assert str(err) == "Table1Exclusion but chi = 0 is rationally solvable at c4 = 0"
+
+
+def test_lefschetz_only_input_never_reaches_the_zero_chi_check(monkeypatch):
+    monkeypatch.setattr("hk4verify.pipeline.admits_zero_chi", lambda c4: {F(-1, 2)})
+    certs = prove(parse_candidates("b2,b3\n23,0\n"), primes=(2, 3), t_max=1)
+    assert certs.branch_counts() == {"LefschetzMismatch": 4, "Table1Exclusion": 0}
 
 
 # ---------------------------------------------------------------------------
