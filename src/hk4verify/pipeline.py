@@ -63,7 +63,7 @@ from collections import deque
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from itertools import starmap
+from itertools import chain, starmap
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from ._version import __version__
@@ -309,21 +309,23 @@ def parse_candidates(
             raise CandidateFormatError(f"{path}: missing 'b2,b3' header line")
         lineno, start = lineno + 1, end + 1
     body = "" if end < 0 else text[end + 1:]
-    seen = _read_plain_body(body, lineno + 1)
-    flagged: list[CandidateRow] = []
-    if seen is None:
-        seen, flagged = _read_rows(body, lineno + 1, path)
+    first = lineno + 1  # the line of the body's first row
+    pairs = _read_plain_body(body)
+    if pairs is None:
+        pairs, pair_lines, flagged = _read_rows(body, first, path)
+    else:  # one pair per line
+        pair_lines, flagged = tuple(range(first, first + len(pairs))), ()
     return CandidateFile(
-        path=path, pairs=tuple(seen), pair_lines=tuple(seen.values()),
-        flagged=tuple(flagged), provenance="\n".join(provenance), digest=digest,
+        path=path, pairs=pairs, pair_lines=pair_lines, flagged=flagged,
+        provenance="\n".join(provenance), digest=digest,
     )
 
 
-def _read_plain_body(body: str, first_line: int) -> dict[tuple[int, int], int] | None:
-    """Each pair of a plain body at its line, counted from ``first_line``,
-    read in bulk; None when the body is not plain (_PLAIN_BODY_RE) or holds a
-    row that _read_rows flags or refuses: a field longer than int() converts,
-    a duplicate or an inadmissible pair."""
+def _read_plain_body(body: str) -> tuple[tuple[int, int], ...] | None:
+    """The pairs of a plain body, one per line, read in bulk; None when the
+    body is not plain (_PLAIN_BODY_RE) or holds a row that _read_rows flags
+    or refuses: a field longer than int() converts, a duplicate or an
+    inadmissible pair."""
     pairs: list[tuple[int, int]] = []
     start = 0
     while start < len(body):  # in slices of whole lines
@@ -336,21 +338,20 @@ def _read_plain_body(body: str, first_line: int) -> dict[tuple[int, int], int] |
         except ValueError:  # more digits than int() converts
             return None
         start = end
-    seen = dict(zip(pairs, range(first_line, first_line + len(pairs))))
-    if len(seen) != len(pairs):  # a duplicate
+    if len(set(pairs)) != len(pairs):  # a duplicate
         return None
     try:
         deque(starmap(admissible_b4, pairs), maxlen=0)
     except InadmissiblePairError:
         return None
-    return seen
+    return tuple(pairs)
 
 
-def _read_rows(
-    body: str, first_line: int, path: str
-) -> tuple[dict[tuple[int, int], int], list[CandidateRow]]:
-    """Each valid pair of ``body`` at its line, and the flagged rows, read one
-    line at a time from line ``first_line``: the reader of every body that
+def _read_rows(body: str, first_line: int, path: str) -> tuple[
+    tuple[tuple[int, int], ...], tuple[int, ...], tuple[CandidateRow, ...]
+]:
+    """The valid pairs of ``body``, the line of each, and the flagged rows,
+    read one line at a time from line ``first_line``: the reader of every body that
     _read_plain_body does not read, and the only one that flags a row or
     refuses a line."""
     flagged: list[CandidateRow] = []
@@ -386,7 +387,7 @@ def _read_rows(
         raise CandidateFormatError(f"{path}:{lineno}: non-integer field in {line!r}")
     for pair in inadmissible:  # what remains is each valid pair at its line
         del seen[pair]
-    return seen, flagged
+    return tuple(seen), tuple(seen.values()), tuple(flagged)
 
 
 def load_candidates(path: str | os.PathLike[str]) -> CandidateFile:
@@ -579,15 +580,16 @@ def _certificate_error(
 # Reports
 #
 # Rows are filled into fixed byte templates: any indent makes json.dumps use
-# its pure-Python encoder, which would walk every row.  Blocks that repeat
-# between rows are rendered once per report by json.JSONEncoder(indent=2), so
-# a report is laid out exactly as json.dumps(value, indent=2) lays it out.  A
-# prove or filter report is joined in chunks of _CHUNK_PIECES pieces, so no
-# copy of the whole report is made unless a caller asks for the bytes
-# (emit_report, emit_filter_report).
+# its pure-Python encoder, which would walk every row.  Other blocks are
+# encoded by json.JSONEncoder(indent=2), so a report is laid out exactly as
+# json.dumps(value, indent=2) lays it out; a tail that repeats between rows is
+# encoded once per shape, with slots for the values that vary (_item_tail),
+# filled once per value, and shared by its rows.  A prove or filter report is
+# joined in chunks of _CHUNK_PIECES pieces, so no copy of the whole report is
+# made unless a caller asks for the bytes (emit_report, emit_filter_report).
 
-#: Pieces per chunk of a report: about 0.6 MB of a JSON prove report and
-#: 0.4 MB of a filter report, as fast to write as 1,024 or 4,096 pieces.
+#: Pieces per chunk of a report: about 0.6 MB of a JSON prove report and 0.2
+#: MB (1,024 records) of a filter report, as fast to write as 1,024 or 4,096.
 _CHUNK_PIECES = 2048
 
 _json_str = json.encoder.encode_basestring_ascii
@@ -610,6 +612,14 @@ def _json_block(value: object, indent: str = "") -> str:
     return _ENCODER.encode(value).replace("\n", "\n" + indent)
 
 
+def _item_tail(value: object, slot: str) -> list[bytes]:
+    """The fields of ``value``, an item of a report's top-level array, after a
+    head that holds its "{": led by "," and followed by ",\\n    ", as bytes
+    split where the string ``slot`` ("\\x00" and a name) stands in ``value``."""
+    text = "," + _json_block(value, "    ")[1:] + ",\n    "
+    return text.encode().split(_json_str(slot).encode())
+
+
 def _chunks(parts: list[bytes]) -> Iterator[bytes]:
     """``parts`` joined _CHUNK_PIECES at a time (the last chunk fewer)."""
     for start in range(0, len(parts), _CHUNK_PIECES):
@@ -619,8 +629,8 @@ def _chunks(parts: list[bytes]) -> Iterator[bytes]:
 def _json_chunks(fields: dict[str, object], rows_key: str) -> Iterator[bytes]:
     """``json.dumps(fields, indent=2) + "\\n"`` as bytes in _chunks, for a
     nonempty ``fields``.  ``fields[rows_key]`` is a list of ASCII bytes pieces
-    that go in as they are: the array's items, each indented for that place
-    and followed by ",\\n    " (dropped after the last)."""
+    that go in as they are: the array's items in one or more pieces, indented
+    for that place, each item followed by ",\\n    " (dropped after the last)."""
     parts = [b"{\n  "]
     for key, value in fields.items():
         parts.append(f"{_json_str(key)}: ".encode())
@@ -673,38 +683,37 @@ def _table_tail(
 #: One certificate, an item of the report's "certificates" array: the head
 #: (candidate, prime and the "t" key), t, and the tail (branch, details and
 #: hypotheses).  Head and tail are the same for every certificate of a run,
-#: except for the betti_W of an AffineBetti, which the tail renders as
+#: except for the betti_W of an AffineBetti, which the tail holds as
 #: _BETTI_W_SLOT and is split at; _BETTI_W_JSON fills in its value at each t.
 _CERT_HEAD_JSON = (
     b'{\n      "candidate": [\n        %d,\n        %d\n      ],\n'
     b'      "prime": %d,\n      "t": '
 )
-_CERT_TAIL_JSON = (
-    ',\n      "branch": {},\n'
-    '      "details": {},\n'
-    '      "hypotheses": {}\n'
-    "    }},\n    "
-).format
 _BETTI_W_SLOT = "\x00betti_W"
 _BETTI_W_JSON = b"[" + b",".join([b"\n          %d"] * 9) + b"\n        ]"  # b0..b8
+_CHI_X_SLOT = "\x00chi_top_X"
 
 
 def _json_tail(
-    hypotheses_texts: dict[int, str],
+    shapes: dict[tuple[int, ...], list[bytes]],
     branch: Branch, details: dict[str, object], hypotheses: tuple[str, ...],
 ) -> list[bytes]:
     """The tail of a JSON certificate, split at betti_W when that is an
-    AffineBetti.  ``hypotheses_texts`` holds each hypotheses tuple of one
-    report as rendered, keyed on its id: the report's runs keep it alive."""
-    text = hypotheses_texts.get(id(hypotheses))
-    if text is None:
-        text = hypotheses_texts[id(hypotheses)] = _json_block(hypotheses, "      ")
-    shown = details
+    AffineBetti.  ``shapes`` holds it once per branch, hypotheses and details
+    with an int chi_top_X and an AffineBetti betti_W as slots, keyed on the ids
+    of those objects (the report's runs keep them alive, and 1, True and
+    Fraction(1) stay apart); chi_top_X is filled in here, as %d writes it."""
+    chi = details.get("chi_top_X")
+    shown = {**details, "chi_top_X": _CHI_X_SLOT} if type(chi) is int else dict(details)
     if isinstance(details.get("betti_W"), AffineBetti):
-        shown = {**details, "betti_W": _BETTI_W_SLOT}
-    return _CERT_TAIL_JSON(
-        _json_str(branch.value), _json_block(shown, "      "), text
-    ).encode().split(_json_str(_BETTI_W_SLOT).encode())
+        shown["betti_W"] = _BETTI_W_SLOT
+    key = (id(branch), id(hypotheses), *map(id, shown), *map(id, shown.values()))
+    if key not in shapes:
+        tail = {"branch": branch.value, "details": shown, "hypotheses": hypotheses}
+        shapes[key] = _item_tail(tail, _BETTI_W_SLOT)
+    if type(chi) is not int:
+        return shapes[key]
+    return [p.replace(_json_str(_CHI_X_SLOT).encode(), b"%d" % chi) for p in shapes[key]]
 
 
 def _cert_rows(
@@ -797,10 +806,8 @@ def emit_report(
 def table1(candidates: CandidateFile, fmt: str = "md") -> str:
     """Render the accepted candidates as a md, csv or json table (columns
     No., c2sq, c4, b2, b3) sorted by decreasing b2 then decreasing b3."""
-    accepted = [
-        (b2, b3, r.chern) for b2, b3, r in _per_c4(candidates.pairs, lambda r: r)
-        if r.accepted
-    ]
+    records = zip(candidates.pairs, _per_c4(candidates.pairs, lambda r: r))
+    accepted = [(b2, b3, r.chern) for (b2, b3), r in records if r.accepted]
     accepted.sort(reverse=True)  # by (-b2, -b3), since the pairs are distinct
     rows = [
         (no, chern.c2sq, chern.c4, b2, b3)
@@ -818,40 +825,51 @@ def table1(candidates: CandidateFile, fmt: str = "md") -> str:
 
 
 def _per_c4(
-    pairs: Iterable[tuple[int, int]], derive: Callable[[CandidateRecord], _T]
-) -> Iterator[tuple[int, int, _T]]:
-    """``(b2, b3, derive(record))`` for each pair.  A filter record past b2 and
-    b3 is a function of c4 alone, so evaluate_candidate and ``derive`` (which
-    must not return None) run once per distinct c4, on its first pair."""
-    memo: dict[int, _T] = {}
-    for b2, b3 in pairs:
-        c4 = c4_from_betti(b2, b3)
-        value = memo.get(c4)
-        if value is None:
-            value = memo[c4] = derive(evaluate_candidate(b2, b3))
-        yield b2, b3, value
+    pairs: Sequence[tuple[int, int]], derive: Callable[[CandidateRecord], _T]
+) -> Iterator[_T]:
+    """``derive(record)`` for each pair, in order.  A filter record past b2 and
+    b3 is a function of c4 alone, so evaluate_candidate and ``derive`` run
+    once per distinct c4, on its first pair, and pairs with that c4 share it."""
+    c4s = list(starmap(c4_from_betti, pairs))
+    firsts = dict(zip(reversed(c4s), reversed(pairs)))  # the first pair of each c4
+    memo = {c4: derive(evaluate_candidate(*pair)) for c4, pair in firsts.items()}
+    return map(memo.__getitem__, c4s)
 
 
-#: One filter record, an item of the report's "records" array, filled with a
-#: (b2, b3, tail) item of _per_c4 as it is.  b2 and b3 are the ints the parser
-#: read, so %d writes them as JSON.
-_RECORD_JSON = b'{\n      "b2": %d,\n      "b3": %d,\n%b'
+#: The head of one filter record, an item of the report's "records" array,
+#: filled with (b2, b3); _record_tail writes the rest.  b2 and b3 are the ints
+#: the parser read, so %d writes them as JSON.
+_RECORD_HEAD_JSON = b'{\n      "b2": %d,\n      "b3": %d'
+_NUMBER_SLOT = "\x00number"
 
 
-def _record_tail(r: CandidateRecord) -> bytes:
-    """A filter record after b2 and b3, its closing brace and ",\\n    "."""
-    fields = {
-        "c2sq": r.chern.c2sq, "c4": r.chern.c4, "delta": r.delta,
-        "delta_sqrt": r.delta_sqrt, "lambda_roots": sorted(r.lambda_roots),
-        "accepted": r.accepted,
-    }
-    return (_json_block(fields, "    ")[2:] + ",\n    ").encode()
+def _record_tail(shapes: dict[tuple, list[bytes]], r: CandidateRecord) -> bytes:
+    """A filter record after b2 and b3 (see _item_tail).  ``shapes`` holds it
+    once per shape (delta_sqrt None or not, the number of roots, accepted),
+    with a slot for each number, which is filled with r's numbers here."""
+    roots, slot = sorted(r.lambda_roots), _NUMBER_SLOT
+    shape = (r.delta_sqrt is None, len(roots), r.accepted)
+    if shape not in shapes:
+        shapes[shape] = _item_tail({
+            "c2sq": slot, "c4": slot, "delta": slot,
+            "delta_sqrt": None if r.delta_sqrt is None else slot,
+            "lambda_roots": [slot] * len(roots), "accepted": r.accepted,
+        }, slot)
+    numbers = [b"%d" % r.chern.c2sq, b"%d" % r.chern.c4] + [
+        _json_str(format_rational(x)).encode()
+        for x in (r.delta, r.delta_sqrt, *roots) if x is not None
+    ]
+    pieces = shapes[shape]
+    return b"".join(chain.from_iterable(zip(pieces, numbers))) + pieces[-1]
 
 
 def filter_report_chunks(candidates: CandidateFile) -> Iterator[bytes]:
     """Full per-candidate filter outcomes, valid and flagged rows alike, as
-    chunks of bytes whose concatenation is the report."""
-    records = _per_c4(candidates.pairs, _record_tail)  # one tail per distinct c4
+    chunks of bytes whose concatenation is the report.  Each record is two
+    pieces: its head, and its c4's tail, shared by every pair with that c4."""
+    records: list[bytes] = [b""] * (2 * len(candidates.pairs))
+    records[::2] = [_RECORD_HEAD_JSON % pair for pair in candidates.pairs]
+    records[1::2] = _per_c4(candidates.pairs, partial(_record_tail, {}))
     payload = {
         "version": __version__,
         "input_digest": candidates.digest,
@@ -859,7 +877,7 @@ def filter_report_chunks(candidates: CandidateFile) -> Iterator[bytes]:
             "accepted flags below are computed for the supplied candidate "
             "list by this tool; they are not an externally attested table"
         ),
-        "records": [_RECORD_JSON % row for row in records],
+        "records": records,
         "invalid_rows": [row._asdict() for row in candidates.flagged],
     }
     return _json_chunks(payload, "records")

@@ -30,7 +30,7 @@ read it.  In the same terms chi = 3 + u * lambda * (lambda + 4) / 3456
 
 Everything a CandidateRecord holds besides b2 and b3 is therefore a function
 of c4 alone, and many pairs share a c4 (105,324 admissible pairs with
-b2 <= 200 have 1,024 values).  The filter report (pipeline.emit_filter_report)
+b2 <= 200 have 1,024 values).  The filter report (pipeline.filter_report_chunks)
 relies on this: it calls evaluate_candidate once per distinct c4 and writes
 that record's values for every pair with the same c4.
 """

@@ -155,14 +155,14 @@ MUTANTS = [
     ),
     (
         "pipeline.py",
-        "    if len(seen) != len(pairs):  # a duplicate\n        return None\n",
+        "    if len(set(pairs)) != len(pairs):  # a duplicate\n        return None\n",
         "",
         "the bulk reader drops the duplicate check",
     ),
     (
         "pipeline.py",
-        "range(first_line, first_line + len(pairs))",
-        "range(first_line + 1, first_line + 1 + len(pairs))",
+        "range(first, first + len(pairs))",
+        "range(first + 1, first + 1 + len(pairs))",
         "the bulk reader numbers its rows from one line too late",
     ),
     (
@@ -223,8 +223,8 @@ MUTANTS = [
     ),
     (
         "pipeline.py",
-        "        c4 = c4_from_betti(b2, b3)\n        value = memo.get(c4)",
-        "        c4 = c4_from_betti(b2, b3) % 7\n        value = memo.get(c4)",
+        "c4s = list(starmap(c4_from_betti, pairs))",
+        "c4s = [c4_from_betti(*pair) % 7 for pair in pairs]",
         "_per_c4 keys its memo on c4 % 7",
     ),
     (
@@ -235,9 +235,41 @@ MUTANTS = [
     ),
     (
         "pipeline.py",
-        '_json_block(fields, "    ")[2:]',
-        '_json_block(fields, "    ")[1:]',
-        "a filter record tail keeps the newline after its dict's brace",
+        '"," + _json_block(value, "    ")[1:]',
+        '"," + _json_block(value, "    ")[0:]',
+        "an item tail keeps its block's opening brace",
+    ),
+    (
+        "pipeline.py",
+        'b"%d" % chi)',
+        'b"%d" % details["chi_top_fixed_locus"])',
+        "a JSON tail fills chi_top_X from the fixed locus's chi_top",
+    ),
+    (
+        "pipeline.py",
+        "key = (id(branch), id(hypotheses), *map(id, shown), ",
+        "key = (id(branch), *map(id, shown), ",
+        "the JSON tail shape key drops hypotheses",
+    ),
+    (
+        "pipeline.py",
+        ", *map(id, shown.values()))",
+        ")",
+        "the JSON tail shape key ignores the details values",
+    ),
+    (
+        "pipeline.py",
+        "    records[::2] = [_RECORD_HEAD_JSON % pair for pair in candidates.pairs]\n"
+        "    records[1::2] = _per_c4(",
+        "    records[1::2] = [_RECORD_HEAD_JSON % pair for pair in candidates.pairs]\n"
+        "    records[::2] = _per_c4(",
+        "a filter record writes its tail before its head",
+    ),
+    (
+        "pipeline.py",
+        "shape = (r.delta_sqrt is None, len(roots), r.accepted)",
+        "shape = (len(roots), r.accepted)",
+        "the filter tail shape ignores whether delta_sqrt is None",
     ),
     (
         "pipeline.py",

@@ -37,6 +37,7 @@ from hk4verify.quotient import FixedLocusProfile, transport_betti
 from hk4verify.topology import (
     InadmissiblePairError,
     betti_from_pair,
+    c4_from_betti,
     chern_from_betti,
 )
 from oracles import ReferenceFormatError, read_rows_by_tokens
@@ -1076,12 +1077,9 @@ def test_emit_filter_report_layout_and_digest_on_flagged_rows():
     )
 
 
-def test_emit_filter_report_matches_filter_candidates_on_b2_le_30_region():
-    # the report evaluates each c4 once; here 3,069 pairs share 174 values
-    cf = parse_candidates(_region_text(30))
-    records = json.loads(emit_filter_report(cf))["records"]
+def _assert_records_match_filter_candidates(cf, blob):
+    records = json.loads(blob)["records"]
     reference = filter_candidates(cf.valid_pairs())
-    assert (len(reference), len({r.chern.c4 for r in reference})) == (3069, 174)
     assert [(r["b2"], r["b3"]) for r in records] == cf.valid_pairs()
     assert [
         (r["c2sq"], r["c4"], r["delta"], r["delta_sqrt"], r["lambda_roots"],
@@ -1093,6 +1091,62 @@ def test_emit_filter_report_matches_filter_candidates_on_b2_le_30_region():
          [format_rational(x) for x in sorted(r.lambda_roots)], r.accepted)
         for r in reference
     ]
+
+
+def test_emit_filter_report_matches_filter_candidates_on_b2_le_30_region():
+    # the report evaluates each c4 once; here 3,069 pairs share 174 values
+    cf = parse_candidates(_region_text(30))
+    reference = filter_candidates(cf.valid_pairs())
+    assert (len(reference), len({r.chern.c4 for r in reference})) == (3069, 174)
+    _assert_records_match_filter_candidates(cf, emit_filter_report(cf))
+
+
+def test_emit_filter_report_layout_on_every_tail_shape():
+    # c4 = 3024 (delta_sqrt "0/1", no roots, not accepted), two roots, a
+    # non-square delta, a negative c4, and c4 = 432 (one double root)
+    cf = parse_candidates("b2,b3\n248,0\n23,0\n0,0\n10,100\n32,0\n")
+    blob = emit_filter_report(cf)
+    _assert_dumps_layout(blob)
+    shapes = [
+        (r["c4"], r["delta_sqrt"], len(r["lambda_roots"]), r["accepted"])
+        for r in json.loads(blob)["records"]
+    ]
+    assert shapes == [
+        (3024, "0/1", 0, False), (324, "5/8", 2, True), (48, None, 0, False),
+        (-132, None, 0, False), (432, "0/1", 1, True),
+    ]
+    _assert_records_match_filter_candidates(cf, blob)
+    assert hashlib.sha256(blob).hexdigest() == (
+        "3fd44b2108514c0a17bc0b9357457ea265142e51fb427c5882e8c6608aa36b40"
+    )
+
+
+def test_reports_encode_once_per_shape_not_per_value(monkeypatch):
+    # the number of encoder calls depends on neither the number of distinct
+    # c4 values nor of candidates: 39 and 174 c4 values for the filter, and
+    # 4 + 1 and 126 candidates, both with both branches, for prove
+    calls = []
+    encode = pipeline._ENCODER.encode
+    monkeypatch.setattr(
+        pipeline._ENCODER, "encode", lambda value: calls.append(value) or encode(value)
+    )
+
+    def count(report):
+        calls.clear()
+        report()
+        return len(calls)
+
+    small, large = (parse_candidates(_region_text(b2_max)) for b2_max in (3, 30))
+    assert len({c4_from_betti(*pair) for pair in small.pairs}) == 39
+    assert count(lambda: emit_filter_report(small)) == count(
+        lambda: emit_filter_report(large)
+    )
+    fixture = parse_candidates(pipeline.TABLE1_FIXTURE + "4,32\n")  # and c4 = 0
+
+    def prove_json(cf):
+        return lambda: emit_report(prove(cf, primes=(2, 3), t_max=1), "json")
+
+    assert count(prove_json(fixture)) == count(prove_json(small))
 
 
 def test_table1_matches_filter_candidates_on_b2_le_30_region():
