@@ -99,7 +99,7 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     chunks = filter_report_chunks(cf)  # renders the rows; --out is opened after
     with open(args.out, "wb") as out:
         out.writelines(chunks)
-    print(f"wrote filter report for {len(cf.pairs) + len(cf.flagged)} rows to {args.out}")
+    print(f"wrote filter report for {len(cf.b2s) + len(cf.flagged)} rows to {args.out}")
     return 0
 
 

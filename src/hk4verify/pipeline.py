@@ -19,7 +19,8 @@ row.  Malformed input (bad header, non-integer or over-long fields,
 non-UTF-8 bytes) is an error; inadmissible rows (negative values, odd b3,
 negative forced b4, duplicates) are kept as flagged rows with an error
 annotation, never silently dropped.  A CandidateFile holds the valid pairs
-in file order with the line of each, and the flagged rows.
+in file order as two int columns, b2s and b3s, with the line of each, and
+the flagged rows.
 
 The contradiction pipeline
 --------------------------
@@ -63,7 +64,8 @@ from collections import deque
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from itertools import chain, starmap
+from itertools import chain, repeat
+from operator import add, mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from ._version import __version__
@@ -138,19 +140,25 @@ class CandidateRow(NamedTuple):
 
 
 class CandidateFile(NamedTuple):
-    """The valid ``pairs`` in file order, the line of each, and a CandidateRow
-    per ``flagged`` row; ``rows`` builds every data row, in line order, on demand."""
+    """The valid pairs in file order as two columns, ``b2s`` and ``b3s``, the
+    line of each, and a CandidateRow per ``flagged`` row; ``pairs`` and
+    ``rows`` (every data row, in line order) are built on demand."""
 
     path: str
-    pairs: tuple[tuple[int, int], ...]
+    b2s: tuple[int, ...]
+    b3s: tuple[int, ...]
     pair_lines: tuple[int, ...]
     flagged: tuple[CandidateRow, ...]
     provenance: str
     digest: str
 
     @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.b2s, self.b3s))
+
+    @property
     def rows(self) -> tuple[CandidateRow, ...]:
-        valid = [CandidateRow(n, *p) for n, p in zip(self.pair_lines, self.pairs)]
+        valid = list(map(CandidateRow, self.pair_lines, self.b2s, self.b3s))
         return tuple(sorted(valid + list(self.flagged), key=lambda row: row.line))
 
     def valid_pairs(self) -> list[tuple[int, int]]:
@@ -261,9 +269,10 @@ _HYPOTHESES_EXCLUSION = _HYPOTHESES_COMMON + (
 #: each field, and the "\r" of a CRLF line ending.
 _ROW_RE = re.compile(rf"{PAD}({INT}){PAD},{PAD}({INT}){PAD}\r?")
 
-#: A plain body, read in bulk: every line after the header two DIGITS fields
-#: around one comma and an LF.  A plain line fullmatches _ROW_RE too.
-_PLAIN_BODY_RE = re.compile(rf"(?:{DIGITS},{DIGITS}\n)*")
+#: A slice of a plain body, read in bulk: one or more lines, each two DIGITS
+#: fields around one comma and an LF, so each step reads a line or stops.  A
+#: plain line fullmatches _ROW_RE too.
+_PLAIN_BODY_RE = re.compile(rf"(?:{DIGITS},{DIGITS}\n)+")
 #: Characters of a plain body read per step, rounded up to a whole line.  The
 #: regex engine keeps a backtracking entry per line it repeats over (about
 #: 18 MB for the 105,324 lines of the b2 <= 200 region in one piece), and
@@ -310,50 +319,56 @@ def parse_candidates(
         lineno, start = lineno + 1, end + 1
     body = "" if end < 0 else text[end + 1:]
     first = lineno + 1  # the line of the body's first row
-    pairs = _read_plain_body(body)
-    if pairs is None:
-        pairs, pair_lines, flagged = _read_rows(body, first, path)
+    columns = _read_plain_body(body)
+    if columns is None:
+        b2s, b3s, pair_lines, flagged = _read_rows(body, first, path)
     else:  # one pair per line
-        pair_lines, flagged = tuple(range(first, first + len(pairs))), ()
+        b2s, b3s = columns
+        pair_lines, flagged = tuple(range(first, first + len(b2s))), ()
     return CandidateFile(
-        path=path, pairs=pairs, pair_lines=pair_lines, flagged=flagged,
+        path=path, b2s=b2s, b3s=b3s, pair_lines=pair_lines, flagged=flagged,
         provenance="\n".join(provenance), digest=digest,
     )
 
 
-def _read_plain_body(body: str) -> tuple[tuple[int, int], ...] | None:
-    """The pairs of a plain body, one per line, read in bulk; None when the
-    body is not plain (_PLAIN_BODY_RE) or holds a row that _read_rows flags
-    or refuses: a field longer than int() converts, a duplicate or an
-    inadmissible pair."""
-    pairs: list[tuple[int, int]] = []
+def _read_plain_body(body: str) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The b2 and b3 columns of a plain body, one pair per line, read in bulk;
+    None when the body is not plain (_PLAIN_BODY_RE) or holds a row that
+    _read_rows flags or refuses: a field longer than int() converts, a
+    duplicate or an inadmissible pair."""
+    numbers: list[int] = []
     start = 0
     while start < len(body):  # in slices of whole lines
         end = body.find("\n", start + _PLAIN_SLICE) + 1 or len(body)
         if not _PLAIN_BODY_RE.fullmatch(body, start, end):
             return None
-        numbers = map(int, body[start:end - 1].replace("\n", ",").split(","))
-        try:
-            pairs += zip(numbers, numbers)
-        except ValueError:  # more digits than int() converts
-            return None
+        fields = body[start:end - 1].replace("\n", ",")
+        try:  # the C scanner of json reads the fields faster than int() one by one
+            numbers += json.loads("[" + fields + "]")
+        except ValueError:  # JSON refuses a leading zero and an over-long field
+            try:
+                numbers += map(int, fields.split(","))
+            except ValueError:  # more digits than int() converts
+                return None
         start = end
-    if len(set(pairs)) != len(pairs):  # a duplicate
+    b2s, b3s = tuple(numbers[0::2]), tuple(numbers[1::2])
+    width = max(b3s, default=0) + 1  # b2 * width + b3 is one int per pair
+    if len(set(map(add, map(mul, b2s, repeat(width)), b3s))) != len(b2s):  # a duplicate
         return None
     try:
-        deque(starmap(admissible_b4, pairs), maxlen=0)
+        deque(map(admissible_b4, b2s, b3s), maxlen=0)
     except InadmissiblePairError:
         return None
-    return tuple(pairs)
+    return b2s, b3s
 
 
 def _read_rows(body: str, first_line: int, path: str) -> tuple[
-    tuple[tuple[int, int], ...], tuple[int, ...], tuple[CandidateRow, ...]
+    tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[CandidateRow, ...]
 ]:
-    """The valid pairs of ``body``, the line of each, and the flagged rows,
-    read one line at a time from line ``first_line``: the reader of every body that
-    _read_plain_body does not read, and the only one that flags a row or
-    refuses a line."""
+    """The b2 and b3 columns of the valid pairs of ``body``, the line of each,
+    and the flagged rows, read one line at a time from line ``first_line``:
+    the reader of every body that _read_plain_body does not read, and the
+    only one that flags a row or refuses a line."""
     flagged: list[CandidateRow] = []
     seen: dict[tuple[int, int], int] = {}  # the first line of each pair read
     inadmissible: list[tuple[int, int]] = []
@@ -387,7 +402,8 @@ def _read_rows(body: str, first_line: int, path: str) -> tuple[
         raise CandidateFormatError(f"{path}:{lineno}: non-integer field in {line!r}")
     for pair in inadmissible:  # what remains is each valid pair at its line
         del seen[pair]
-    return tuple(seen), tuple(seen.values()), tuple(flagged)
+    b2s, b3s = tuple([b2 for b2, _ in seen]), tuple([b3 for _, b3 in seen])
+    return b2s, b3s, tuple(seen.values()), tuple(flagged)
 
 
 def load_candidates(path: str | os.PathLike[str]) -> CandidateFile:
@@ -434,7 +450,7 @@ def prove(
     for p in primes:
         if type(p) is not int or not is_prime(p):
             raise ValueError(f"not a prime: {p}")
-    expected = len(candidates.pairs) * len(primes) * (t_max + 1)
+    expected = len(candidates.b2s) * len(primes) * (t_max + 1)
     if expected > sys.maxsize:  # len() of the result could not be taken
         raise ValueError(f"{expected} certificates exceed sys.maxsize = {sys.maxsize}")
     fixed = {p: _prime_details(p) for p in primes}  # no candidate changes these
@@ -446,7 +462,7 @@ def prove(
     classes: dict[tuple[int, int], dict[str, object]] = {}
     ts = range(t_max + 1)
     runs: list[CertificateRun] = []
-    for b2, b3 in candidates.pairs:
+    for b2, b3 in zip(candidates.b2s, candidates.b3s):
         runs += _prove_candidate(b2, b3, ts, fixed, zero_W, classes)
     certificates = Certificates(runs)
     if len(certificates) != expected:
@@ -588,8 +604,8 @@ def _certificate_error(
 # joined in chunks of _CHUNK_PIECES pieces, so no copy of the whole report is
 # made unless a caller asks for the bytes (emit_report, emit_filter_report).
 
-#: Pieces per chunk of a report: about 0.6 MB of a JSON prove report and 0.2
-#: MB (1,024 records) of a filter report, as fast to write as 1,024 or 4,096.
+#: Pieces per chunk of a report: about 0.6 MB of a JSON prove report and 0.13
+#: MB (about 683 records) of a filter report, as fast to write as 1,024 or 4,096.
 _CHUNK_PIECES = 2048
 
 _json_str = json.encoder.encode_basestring_ascii
@@ -806,8 +822,9 @@ def emit_report(
 def table1(candidates: CandidateFile, fmt: str = "md") -> str:
     """Render the accepted candidates as a md, csv or json table (columns
     No., c2sq, c4, b2, b3) sorted by decreasing b2 then decreasing b3."""
-    records = zip(candidates.pairs, _per_c4(candidates.pairs, lambda r: r))
-    accepted = [(b2, b3, r.chern) for (b2, b3), r in records if r.accepted]
+    b2s, b3s = candidates.b2s, candidates.b3s
+    records = zip(b2s, b3s, _per_c4(b2s, b3s, lambda r: r))
+    accepted = [(b2, b3, r.chern) for b2, b3, r in records if r.accepted]
     accepted.sort(reverse=True)  # by (-b2, -b3), since the pairs are distinct
     rows = [
         (no, chern.c2sq, chern.c4, b2, b3)
@@ -825,21 +842,22 @@ def table1(candidates: CandidateFile, fmt: str = "md") -> str:
 
 
 def _per_c4(
-    pairs: Sequence[tuple[int, int]], derive: Callable[[CandidateRecord], _T]
+    b2s: Sequence[int], b3s: Sequence[int], derive: Callable[[CandidateRecord], _T]
 ) -> Iterator[_T]:
-    """``derive(record)`` for each pair, in order.  A filter record past b2 and
-    b3 is a function of c4 alone, so evaluate_candidate and ``derive`` run
-    once per distinct c4, on its first pair, and pairs with that c4 share it."""
-    c4s = list(starmap(c4_from_betti, pairs))
-    firsts = dict(zip(reversed(c4s), reversed(pairs)))  # the first pair of each c4
-    memo = {c4: derive(evaluate_candidate(*pair)) for c4, pair in firsts.items()}
+    """``derive(record)`` for each pair of the columns, in order.  A record past
+    b2 and b3 is a function of c4 alone, so evaluate_candidate and ``derive``
+    run once per distinct c4, on its first pair, and pairs with that c4 share it."""
+    c4s = list(map(c4_from_betti, b2s, b3s))
+    firsts: dict[int, int] = {}  # the index of the first pair of each c4
+    deque(map(firsts.setdefault, c4s, range(len(c4s))), maxlen=0)
+    memo = {c4: derive(evaluate_candidate(b2s[i], b3s[i])) for c4, i in firsts.items()}
     return map(memo.__getitem__, c4s)
 
 
 #: The head of one filter record, an item of the report's "records" array,
-#: filled with (b2, b3); _record_tail writes the rest.  b2 and b3 are the ints
-#: the parser read, so %d writes them as JSON.
-_RECORD_HEAD_JSON = b'{\n      "b2": %d,\n      "b3": %d'
+#: filled with b2; b3's text and _record_tail write the rest.  b2 and b3 are
+#: the ints the parser read, so %d writes them as JSON.
+_RECORD_HEAD_JSON = b'{\n      "b2": %d,\n      "b3": '
 _NUMBER_SLOT = "\x00number"
 
 
@@ -865,11 +883,16 @@ def _record_tail(shapes: dict[tuple, list[bytes]], r: CandidateRecord) -> bytes:
 
 def filter_report_chunks(candidates: CandidateFile) -> Iterator[bytes]:
     """Full per-candidate filter outcomes, valid and flagged rows alike, as
-    chunks of bytes whose concatenation is the report.  Each record is two
-    pieces: its head, and its c4's tail, shared by every pair with that c4."""
-    records: list[bytes] = [b""] * (2 * len(candidates.pairs))
-    records[::2] = [_RECORD_HEAD_JSON % pair for pair in candidates.pairs]
-    records[1::2] = _per_c4(candidates.pairs, partial(_record_tail, {}))
+    chunks of bytes whose concatenation is the report.  Each record is three
+    shared pieces: the head of its b2, the text of its b3, and the tail of its
+    c4, so no bytes object is built per record."""
+    b2s, b3s = candidates.b2s, candidates.b3s
+    heads = {b2: _RECORD_HEAD_JSON % b2 for b2 in set(b2s)}
+    b3_texts = {b3: b"%d" % b3 for b3 in set(b3s)}
+    records: list[bytes] = [b""] * (3 * len(b2s))
+    records[::3] = map(heads.__getitem__, b2s)
+    records[1::3] = map(b3_texts.__getitem__, b3s)
+    records[2::3] = _per_c4(b2s, b3s, partial(_record_tail, {}))
     payload = {
         "version": __version__,
         "input_digest": candidates.digest,

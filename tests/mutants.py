@@ -155,19 +155,32 @@ MUTANTS = [
     ),
     (
         "pipeline.py",
-        "    if len(set(pairs)) != len(pairs):  # a duplicate\n        return None\n",
+        "    if len(set(map(add, map(mul, b2s, repeat(width)), b3s))) != len(b2s):"
+        "  # a duplicate\n        return None\n",
         "",
         "the bulk reader drops the duplicate check",
     ),
     (
         "pipeline.py",
-        "range(first, first + len(pairs))",
-        "range(first + 1, first + 1 + len(pairs))",
+        "width = max(b3s, default=0) + 1",
+        "width = max(b3s, default=0)",
+        "the bulk duplicate key b2 * width + b3 takes (0, 2) and (1, 0) for one pair",
+    ),
+    (
+        "pipeline.py",
+        "                numbers += map(int, fields.split(\",\"))\n",
+        "                return None\n",
+        "a slice with a leading zero sends the body to the per-line reader",
+    ),
+    (
+        "pipeline.py",
+        "range(first, first + len(b2s))",
+        "range(first + 1, first + 1 + len(b2s))",
         "the bulk reader numbers its rows from one line too late",
     ),
     (
         "pipeline.py",
-        "        deque(starmap(admissible_b4, pairs), maxlen=0)\n",
+        "        deque(map(admissible_b4, b2s, b3s), maxlen=0)\n",
         "        pass\n",
         "the bulk reader skips the admissibility pass",
     ),
@@ -223,8 +236,8 @@ MUTANTS = [
     ),
     (
         "pipeline.py",
-        "c4s = list(starmap(c4_from_betti, pairs))",
-        "c4s = [c4_from_betti(*pair) % 7 for pair in pairs]",
+        "c4s = list(map(c4_from_betti, b2s, b3s))",
+        "c4s = [c4 % 7 for c4 in map(c4_from_betti, b2s, b3s)]",
         "_per_c4 keys its memo on c4 % 7",
     ),
     (
@@ -259,11 +272,27 @@ MUTANTS = [
     ),
     (
         "pipeline.py",
-        "    records[::2] = [_RECORD_HEAD_JSON % pair for pair in candidates.pairs]\n"
-        "    records[1::2] = _per_c4(",
-        "    records[1::2] = [_RECORD_HEAD_JSON % pair for pair in candidates.pairs]\n"
-        "    records[::2] = _per_c4(",
+        "    records[::3] = map(heads.__getitem__, b2s)\n"
+        "    records[1::3] = map(b3_texts.__getitem__, b3s)\n"
+        "    records[2::3] = _per_c4(",
+        "    records[2::3] = map(heads.__getitem__, b2s)\n"
+        "    records[1::3] = map(b3_texts.__getitem__, b3s)\n"
+        "    records[::3] = _per_c4(",
         "a filter record writes its tail before its head",
+    ),
+    (
+        "pipeline.py",
+        "    records[::3] = map(heads.__getitem__, b2s)\n"
+        "    records[1::3] = map(b3_texts.__getitem__, b3s)\n",
+        "    records[1::3] = map(heads.__getitem__, b2s)\n"
+        "    records[::3] = map(b3_texts.__getitem__, b3s)\n",
+        "a filter record writes its b3 text before its b2 head",
+    ),
+    (
+        "pipeline.py",
+        "zip(candidates.b2s, candidates.b3s)",
+        "zip(candidates.b3s, candidates.b2s)",
+        "prove sweeps (b3, b2) for each pair (b2, b3)",
     ),
     (
         "pipeline.py",

@@ -270,6 +270,23 @@ def test_plain_body_lines_count_the_preamble():
     assert (cf.flagged[0].line, cf.flagged[0].error) == (5 + len(cf.pairs), "duplicate of line 5")
 
 
+@pytest.mark.parametrize(
+    ("body", "size", "b2s", "b3s"),
+    [
+        ("0,46\n1,56\n", pipeline._PLAIN_SLICE, (0, 1), (46, 56)),  # b4 = 0
+        ("0,2\n1,0\n", pipeline._PLAIN_SLICE, (0, 1), (2, 0)),  # 0*2 + 2 = 1*2 + 0
+        ("1,0\n2,4\n03,6\n", 5, (1, 2, 3), (0, 4, 6)),  # a leading zero in slice 2
+    ],
+)
+def test_plain_body_is_read_into_columns(monkeypatch, body, size, b2s, b3s):
+    # each body is read in bulk, without the per-line reader
+    monkeypatch.setattr(pipeline, "_PLAIN_SLICE", size)
+    monkeypatch.setattr(pipeline, "_read_rows", lambda *a: pytest.fail("read per line"))
+    cf = parse_candidates("b2,b3\n" + body)
+    assert (cf.b2s, cf.b3s, cf.flagged) == (b2s, b3s, ())
+    assert cf.pairs == tuple(zip(b2s, b3s)) and cf.pair_lines == tuple(range(2, 2 + len(b2s)))
+
+
 def test_parse_header_errors():
     with pytest.raises(CandidateFormatError):
         parse_candidates("23,0\n")
@@ -503,6 +520,7 @@ def test_value_types_are_immutable():
         (FixedLocusProfile(p=2, m=0, k=0, t=0), "t"),
         (filter_candidates([(23, 0)])[0], "accepted"),
         (builtin_candidates(), "pairs"),
+        (builtin_candidates(), "b2s"),
     ]
     for value, field in values:
         with pytest.raises(AttributeError):
@@ -1167,6 +1185,31 @@ def test_table1_matches_filter_candidates_on_b2_le_30_region():
         "csv": "037d757687b825cf4f304cba965182ae59099b973ff4a71ffe1a47adbe840a64",
         "json": "02d9afec05944852bdb2e918aef28ac2d50bd0c576341b4e4e8719d818329a15",
     }
+
+
+def test_filter_report_and_table1_read_the_columns_not_pairs(monkeypatch):
+    # the filter path builds no pair tuples: with CandidateFile.pairs broken,
+    # both reports keep their bytes
+    four = parse_candidates("b2,b3\n248,0\n23,0\n0,0\n10,100\n32,0\n")
+    region = parse_candidates(_region_text(30))
+
+    def broken(self):
+        raise AssertionError("CandidateFile.pairs read")
+
+    monkeypatch.setattr(pipeline.CandidateFile, "pairs", property(broken))
+
+    def sha256(data):
+        return hashlib.sha256(data).hexdigest()
+
+    assert sha256(emit_filter_report(four)) == (
+        "3fd44b2108514c0a17bc0b9357457ea265142e51fb427c5882e8c6608aa36b40"
+    )
+    assert sha256(emit_filter_report(region)) == (
+        "6f29a43e5b8803d07169b34c5228401333f1dbf6e45dd8c7c82d29496f142616"
+    )
+    assert sha256(table1(region, "json").encode()) == (
+        "02d9afec05944852bdb2e918aef28ac2d50bd0c576341b4e4e8719d818329a15"
+    )
 
 
 def test_table1_json_layout():
