@@ -49,12 +49,13 @@ def rational_sqrt_exact(q: Fraction) -> Fraction | None:
 
 
 # Number text, shared by candidate files, the CLI and the reports: DIGITS are
-# ASCII digits (int() alone would also take "1_0", non-ASCII digits and other
+# ASCII_DIGITS (int() alone would also take "1_0", non-ASCII digits and other
 # whitespace), an integer is an optional sign and DIGITS, a rational is an
 # integer with an optional "/" and DIGITS for its denominator, and a field may
 # carry BLANKS, the only whitespace allowed, around its text.
 BLANKS = " \t"
-DIGITS = "[0-9]+"
+ASCII_DIGITS = "0123456789"
+DIGITS = f"[{ASCII_DIGITS}]+"
 INT = f"[+-]?{DIGITS}"
 PAD = f"[{BLANKS}]*"
 _FIELD_RE = re.compile(rf"{PAD}({INT})(?:/({DIGITS}))?{PAD}")

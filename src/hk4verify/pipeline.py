@@ -9,18 +9,18 @@ holds two comma-separated integers, spelled as in ``exact`` (the one home
 of the number grammar).  Spaces and tabs around a field are ignored; any
 other whitespace in a line is an error.  One anchored ASCII pattern
 (``_ROW_RE``) accepts a data row; other lines are comments, blank, the
-header, or errors.  A plain body, every line after the header unsigned
-digits, one comma and an LF (``_PLAIN_BODY_RE``), is read in bulk; each
-plain line also fullmatches ``_ROW_RE``, so the bulk reader accepts a subset
-of what the per-line reader does.  Any other body (CRLF, blanks around a
-field, comments, signs) and a plain body with a row to flag or refuse are
-read line by line, by the reader that writes every message and flagged
-row.  Malformed input (bad header, non-integer or over-long fields,
-non-UTF-8 bytes) is an error; inadmissible rows (negative values, odd b3,
-negative forced b4, duplicates) are kept as flagged rows with an error
-annotation, never silently dropped.  A CandidateFile holds the valid pairs
-in file order as two int columns, b2s and b3s, with the line of each, and
-the flagged rows.
+header, or errors.  A plain body, every line after the header two fields of
+ASCII digits with no leading zero around one comma and an LF, is read in bulk
+(``_read_plain_body``); each plain line also fullmatches ``_ROW_RE``, so the
+bulk reader accepts a subset of what the per-line reader does.  Any other
+body (CRLF, blanks around a field, comments, signs, a leading zero) and a
+plain body with a row to flag or refuse are read line by line, by the reader
+that writes every message and flagged row.  Malformed input (bad header,
+non-integer or over-long fields, non-UTF-8 bytes) is an error; inadmissible
+rows (negative values, odd b3, negative forced b4, duplicates) are kept as
+flagged rows with an error annotation, never silently dropped.  A
+CandidateFile holds the valid pairs in file order as two int columns, b2s
+and b3s, with the line of each, and the flagged rows.
 
 The contradiction pipeline
 --------------------------
@@ -64,12 +64,12 @@ from collections import deque
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from itertools import chain, repeat
-from operator import add, mul
+from itertools import chain
+from operator import sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from ._version import __version__
-from .exact import BLANKS, DIGITS, INT, PAD, format_rational
+from .exact import ASCII_DIGITS, BLANKS, INT, PAD, format_rational
 from .quotient import (
     FixedLocusProfile,
     is_prime,
@@ -269,15 +269,9 @@ _HYPOTHESES_EXCLUSION = _HYPOTHESES_COMMON + (
 #: each field, and the "\r" of a CRLF line ending.
 _ROW_RE = re.compile(rf"{PAD}({INT}){PAD},{PAD}({INT}){PAD}\r?")
 
-#: A slice of a plain body, read in bulk: one or more lines, each two DIGITS
-#: fields around one comma and an LF, so each step reads a line or stops.  A
-#: plain line fullmatches _ROW_RE too.
-_PLAIN_BODY_RE = re.compile(rf"(?:{DIGITS},{DIGITS}\n)+")
-#: Characters of a plain body read per step, rounded up to a whole line.  The
-#: regex engine keeps a backtracking entry per line it repeats over (about
-#: 18 MB for the 105,324 lines of the b2 <= 200 region in one piece), and
-#: the field strings of a step are freed before the next.
-_PLAIN_SLICE = 16384
+#: Deletes the ASCII digits: a plain body, every line two digit fields around
+#: one comma and an LF, becomes ",\n" per line.
+_DROP_DIGITS = str.maketrans("", "", ASCII_DIGITS)
 
 
 #: Pairs accepted by the rational-square filter; the default prove fixture.
@@ -333,30 +327,32 @@ def parse_candidates(
 
 def _read_plain_body(body: str) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """The b2 and b3 columns of a plain body, one pair per line, read in bulk;
-    None when the body is not plain (_PLAIN_BODY_RE) or holds a row that
-    _read_rows flags or refuses: a field longer than int() converts, a
-    duplicate or an inadmissible pair."""
-    numbers: list[int] = []
-    start = 0
-    while start < len(body):  # in slices of whole lines
-        end = body.find("\n", start + _PLAIN_SLICE) + 1 or len(body)
-        if not _PLAIN_BODY_RE.fullmatch(body, start, end):
-            return None
-        fields = body[start:end - 1].replace("\n", ",")
-        try:  # the C scanner of json reads the fields faster than int() one by one
-            numbers += json.loads("[" + fields + "]")
-        except ValueError:  # JSON refuses a leading zero and an over-long field
-            try:
-                numbers += map(int, fields.split(","))
-            except ValueError:  # more digits than int() converts
-                return None
-        start = end
-    b2s, b3s = tuple(numbers[0::2]), tuple(numbers[1::2])
-    width = max(b3s, default=0) + 1  # b2 * width + b3 is one int per pair
-    if len(set(map(add, map(mul, b2s, repeat(width)), b3s))) != len(b2s):  # a duplicate
+    None when the body is not plain (lines of two digit fields around a comma,
+    each ending in LF, with no leading zero, which JSON refuses like an empty
+    or over-long field) or holds a row that _read_rows flags."""
+    if body[-1:] != "\n" or body.translate(_DROP_DIGITS) != ",\n" * body.count("\n"):
         return None
+    try:  # the C scanner of json reads the fields faster than int() one by one
+        numbers = json.loads("[" + body[:-1].replace("\n", ",") + "]")
+    except ValueError:
+        return None
+    lines = body.split("\n")
+    if len(set(lines)) != len(lines):  # one spelling per pair, so a duplicate
+        return None
+    b2s, b3s = tuple(numbers[0::2]), tuple(numbers[1::2])
+    # admissible_b4 decides the body from representatives.  Asked about
+    # (max(b2s), b3) it refuses an odd b3, and a b3 that forces a negative b4
+    # on every b2.  By the Salamon relation b4 + b3 - 10*b2 = 46 the b4 it
+    # forces on (b2, b3) is admissible_b4(b2, 0) - b3, so no pair forces a
+    # negative b4 unless the pair with the least one does.
     try:
-        deque(map(admissible_b4, b2s, b3s), maxlen=0)
+        top = max(b2s)
+        for b3 in set(b3s):
+            admissible_b4(top, b3)
+        base = {b2: admissible_b4(b2, 0) for b2 in set(b2s)}
+        b4s = list(map(sub, map(base.__getitem__, b2s), b3s))
+        least = b4s.index(min(b4s))
+        admissible_b4(b2s[least], b3s[least])
     except InadmissiblePairError:
         return None
     return b2s, b3s

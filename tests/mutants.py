@@ -7,17 +7,22 @@ For each (file, old, new, why) mutant, src/ is copied to a fresh temporary
 directory, ``old`` is replaced by ``new`` in the copy, and tier-1 runs with
 -x against the copy; the mutant is killed when a test fails.  The unmutated
 copy runs first and must pass, so a broken environment cannot pass for a
-kill.  Exits 1 if a mutant survives or if an ``old`` text does not occur
-exactly once in its file.  Stdlib only; pytest does not collect this file.
+kill.  Each mutant's run is stopped after ten times the unmutated run's time
+(at least 60 s) and counted as killed, so a mutant that makes the program
+loop forever cannot hang the check.  Exits 1 if a mutant survives or if an
+``old`` text does not occur exactly once in its file.  Stdlib only; pytest
+does not collect this file.
 """
 
 from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -155,40 +160,46 @@ MUTANTS = [
     ),
     (
         "pipeline.py",
-        "    if len(set(map(add, map(mul, b2s, repeat(width)), b3s))) != len(b2s):"
-        "  # a duplicate\n        return None\n",
+        " or body.translate(_DROP_DIGITS) != \",\\n\" * body.count(\"\\n\"):",
+        ":",
+        "the bulk reader drops its digit-deletion check, so JSON reads blanks and CR",
+    ),
+    (
+        "pipeline.py",
+        'if body[-1:] != "\\n" or ',
+        "if ",
+        "the bulk reader reads a last line with no LF",
+    ),
+    (
+        "pipeline.py",
+        "    if len(set(lines)) != len(lines):  # one spelling per pair, so a duplicate\n"
+        "        return None\n",
         "",
-        "the bulk reader drops the duplicate check",
+        "the bulk reader drops the line-set duplicate check",
     ),
     (
         "pipeline.py",
-        "width = max(b3s, default=0) + 1",
-        "width = max(b3s, default=0)",
-        "the bulk duplicate key b2 * width + b3 takes (0, 2) and (1, 0) for one pair",
+        "        for b3 in set(b3s):\n            admissible_b4(top, b3)\n",
+        "",
+        "the bulk reader asks admissible_b4 about no b3, so an odd b3 passes",
     ),
     (
         "pipeline.py",
-        "                numbers += map(int, fields.split(\",\"))\n",
-        "                return None\n",
-        "a slice with a leading zero sends the body to the per-line reader",
+        "admissible_b4(top, b3)",
+        "admissible_b4(0, b3)",
+        "the bulk reader asks about each b3 at b2 = 0, so b3 > 46 leaves the bulk path",
+    ),
+    (
+        "pipeline.py",
+        "least = b4s.index(min(b4s))",
+        "least = b4s.index(max(b4s))",
+        "the bulk reader checks the pair with the largest forced b4, not the least",
     ),
     (
         "pipeline.py",
         "range(first, first + len(b2s))",
         "range(first + 1, first + 1 + len(b2s))",
         "the bulk reader numbers its rows from one line too late",
-    ),
-    (
-        "pipeline.py",
-        "        deque(map(admissible_b4, b2s, b3s), maxlen=0)\n",
-        "        pass\n",
-        "the bulk reader skips the admissibility pass",
-    ),
-    (
-        "pipeline.py",
-        'body.find("\\n", start + _PLAIN_SLICE) + 1 or len(body)',
-        'body.find("\\n", start + _PLAIN_SLICE) or len(body)',
-        "a bulk slice ends before its LF, so no body is read in bulk",
     ),
     (
         "topology.py",
@@ -333,19 +344,30 @@ MUTANTS = [
 ]
 
 
-def tier1(src: Path, cwd: Path) -> int:
+def tier1(src: Path, cwd: Path, timeout: float | None) -> int | None:
     """pytest's exit code for tier-1 with -x, importing hk4verify from
-    ``src``; run in ``cwd`` so that the hypothesis database stays there."""
+    ``src``; run in ``cwd`` so that the hypothesis database stays there.
+    None if the run took longer than ``timeout`` seconds and was stopped."""
     paths = [str(src), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     command = [
         sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
         "--continue-on-collection-errors", str(REPO / "tests"),
     ]
-    return subprocess.run(command, cwd=cwd, env=env, stdout=subprocess.DEVNULL).returncode
+    with subprocess.Popen(
+        command, cwd=cwd, env=env, stdout=subprocess.DEVNULL, start_new_session=True
+    ) as pytest:
+        try:
+            return pytest.wait(timeout)
+        except subprocess.TimeoutExpired:  # stop pytest and the CLI runs it started
+            os.killpg(pytest.pid, signal.SIGKILL)
+            pytest.wait()
+            return None
 
 
-def run(mutant: tuple[str, str, str, str] | None = None) -> int:
+def run(
+    mutant: tuple[str, str, str, str] | None = None, timeout: float | None = None
+) -> int | None:
     """tier1 on a fresh copy of src/, with ``mutant`` applied if given; -1
     if the mutant's old text does not occur exactly once in its file."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -358,18 +380,23 @@ def run(mutant: tuple[str, str, str, str] | None = None) -> int:
             if text.count(old) != 1:
                 return -1
             path.write_text(text.replace(old, new))
-        return tier1(src, Path(tmp))
+        return tier1(src, Path(tmp), timeout)
 
 
 def main() -> int:
+    start = time.monotonic()
     code = run()
     if code != 0:
         print(f"the unmutated copy fails tier-1 (pytest exit {code})")
         return 1
+    limit = max(60.0, 10 * (time.monotonic() - start))
     killed = 0
     for mutant in MUTANTS:
-        code = run(mutant)
-        if code == -1:
+        code = run(mutant, limit)
+        if code is None:
+            verdict = f"killed (timed out after {limit:.0f} s)"
+            killed += 1
+        elif code == -1:
             verdict = "OLD TEXT NOT FOUND ONCE"
         elif code == 1:  # the tests ran and one failed
             verdict = "killed"
@@ -377,7 +404,8 @@ def main() -> int:
         else:
             verdict = f"NOT KILLED (pytest exit {code})"
         print(f"{verdict}: {mutant[0]}: {mutant[3]}", flush=True)
-    print(f"{killed}/{len(MUTANTS)} mutants killed")
+    minutes, seconds = divmod(round(time.monotonic() - start), 60)
+    print(f"{killed}/{len(MUTANTS)} mutants killed in {minutes} min {seconds} s")
     return 0 if killed == len(MUTANTS) else 1
 
 

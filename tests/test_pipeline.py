@@ -198,7 +198,7 @@ _admissible_row = st.integers(0, 30).flatmap(
 #: each perturbation of a plain body, and whether the body stays plain
 _PERTURBATIONS = {
     "none": (lambda rows, i: None, True),
-    "leading zeros": (lambda rows, i: rows.__setitem__(i, "00" + rows[i]), True),
+    "leading zeros": (lambda rows, i: rows.__setitem__(i, "00" + rows[i]), False),
     "duplicate": (lambda rows, i: rows.insert(i + 1, rows[i]), False),
     "odd b3": (lambda rows, i: rows.insert(i, "5,3"), False),
     "negative b4": (lambda rows, i: rows.insert(i, "0,48"), False),
@@ -220,12 +220,11 @@ _PERTURBATIONS = {
     st.lists(_admissible_row, min_size=1, max_size=12, unique=True),
     st.sampled_from(sorted(_PERTURBATIONS)),
     st.integers(0, 11),
-    st.sampled_from([1, 9, pipeline._PLAIN_SLICE]),
     st.sampled_from(["", "# from a table\n", "# a\n\n#\tb\n"]),
 )
-def test_plain_body_reads_like_the_token_split_reference(rows, kind, i, size, preamble):
-    # a plain body is read in bulk, in slices of at least ``size`` characters;
-    # any other body, and a plain one with a row to flag, line by line
+def test_plain_body_reads_like_the_token_split_reference(rows, kind, i, preamble):
+    # a plain body is read in bulk; any other body, and a plain one with a row
+    # to flag, line by line
     perturb, plain = _PERTURBATIONS[kind]
     i %= len(rows)
     perturb(rows, i)
@@ -233,7 +232,6 @@ def test_plain_body_reads_like_the_token_split_reference(rows, kind, i, size, pr
     calls = []
     read_rows = pipeline._read_rows
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline, "_PLAIN_SLICE", size)
         mp.setattr(pipeline, "_read_rows", lambda *a: calls.append(a) or read_rows(*a))
         if kind == "over-long field":
             line = preamble.count("\n") + 2 + i
@@ -249,42 +247,72 @@ def test_plain_body_reads_like_the_token_split_reference(rows, kind, i, size, pr
     assert (not calls) == plain
 
 
-@settings(max_examples=50, deadline=None)  # from_regex draws slowly
-@given(st.from_regex(pipeline._PLAIN_BODY_RE, fullmatch=True))
+@settings(max_examples=300, deadline=None)
+@given(st.builds(
+    lambda lines, tail: "".join(line + "\n" for line in lines) + tail,
+    st.lists(st.one_of(
+        _admissible_row, _admissible_row,
+        st.text(st.sampled_from("0123456789, \t\r+-#"), max_size=6),
+    ), max_size=8),
+    st.one_of(st.just(""), st.text(st.sampled_from("0123456789,\n \t\r+-#"), max_size=3)),
+))
+@example("")
+@example("0,46\n1,56\n")
+@example("0,48\n23,0\n")
+@example("01,2\n")
+@example("1,2\n34")
+@example("5")
 def test_a_plain_row_is_a_row(body):
-    # the bulk reader accepts a subset of the lines the per-line reader does
-    for line in body.splitlines():
-        match = pipeline._ROW_RE.fullmatch(line)
-        assert match and f"{match[1]},{match[2]}" == line
+    # the bulk reader accepts a body only when it is one or more lines, each a
+    # row that _ROW_RE reads, spelled with no blank, sign or leading zero, and
+    # an LF, and no row is flagged
+    columns = pipeline._read_plain_body(body)
+    lines = body.split("\n")[:-1]
+    matches = [pipeline._ROW_RE.fullmatch(line) for line in lines]
+    plain = body.endswith("\n") and all(
+        match and f"{match[1]},{match[2]}" == line
+        and not re.search(r"(^|,)0[0-9]", line)
+        for match, line in zip(matches, lines)
+    )
+    if columns is None:
+        assert not plain or any(row[3] for row in read_rows_by_tokens("b2,b3\n" + body))
+    else:
+        assert plain
+        assert list(zip(*columns)) == [(int(m[1]), int(m[2])) for m in matches]
 
 
 def test_plain_body_lines_count_the_preamble():
     text = "# provenance\n\n# more\n b2 , b3 \n" + _region_text(30).removeprefix("b2,b3\n")
     cf = parse_candidates(text)
-    assert len(text) > pipeline._PLAIN_SLICE  # read in two slices
     assert cf.pair_lines == tuple(range(5, 5 + len(cf.pairs)))
     assert cf.pairs == parse_candidates(_region_text(30)).pairs
     assert (cf.flagged, cf.provenance) == ((), "provenance\nmore")
-    # a duplicate in the last slice sends the whole body to the per-line reader
+    # a duplicate in the last line sends the whole body to the per-line reader
     cf = parse_candidates(text + "0,0\n")
     assert (cf.flagged[0].line, cf.flagged[0].error) == (5 + len(cf.pairs), "duplicate of line 5")
 
 
 @pytest.mark.parametrize(
-    ("body", "size", "b2s", "b3s"),
+    ("body", "b2s", "b3s"),
     [
-        ("0,46\n1,56\n", pipeline._PLAIN_SLICE, (0, 1), (46, 56)),  # b4 = 0
-        ("0,2\n1,0\n", pipeline._PLAIN_SLICE, (0, 1), (2, 0)),  # 0*2 + 2 = 1*2 + 0
-        ("1,0\n2,4\n03,6\n", 5, (1, 2, 3), (0, 4, 6)),  # a leading zero in slice 2
+        ("0,46\n1,56\n", (0, 1), (46, 56)),  # b4 = 0
+        ("0,2\n1,0\n", (0, 1), (2, 0)),
+        ("1,0\n2,4\n3,6\n", (1, 2, 3), (0, 4, 6)),
     ],
 )
-def test_plain_body_is_read_into_columns(monkeypatch, body, size, b2s, b3s):
+def test_plain_body_is_read_into_columns(monkeypatch, body, b2s, b3s):
     # each body is read in bulk, without the per-line reader
-    monkeypatch.setattr(pipeline, "_PLAIN_SLICE", size)
+    read_rows = pipeline._read_rows
     monkeypatch.setattr(pipeline, "_read_rows", lambda *a: pytest.fail("read per line"))
     cf = parse_candidates("b2,b3\n" + body)
     assert (cf.b2s, cf.b3s, cf.flagged) == (b2s, b3s, ())
     assert cf.pairs == tuple(zip(b2s, b3s)) and cf.pair_lines == tuple(range(2, 2 + len(b2s)))
+    # a leading zero on a row sends the body to the per-line reader, which
+    # reads the same CandidateFile
+    calls = []
+    monkeypatch.setattr(pipeline, "_read_rows", lambda *a: calls.append(a) or read_rows(*a))
+    zeros = parse_candidates("b2,b3\n" + body.replace("\n", "\n0", 1))
+    assert len(calls) == 1 and zeros._replace(digest=cf.digest) == cf
 
 
 def test_parse_header_errors():

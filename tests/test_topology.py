@@ -105,6 +105,27 @@ def test_euler_equals_c4_for_admissible_pairs():
             )
 
 
+def _forced_b4(b2, b3):
+    try:
+        return admissible_b4(b2, b3)
+    except InadmissiblePairError:
+        return None
+
+
+@given(st.integers(0, 400), st.integers(0, 4200), st.integers(0, 400))
+def test_admissible_b4_is_its_value_at_b3_zero_less_b3(b2, b3, more):
+    # the relation behind the bulk reader's representative pairs: the forced
+    # b4 is admissible_b4(b2, 0) - b3, a pair admitted at b2 is admitted at
+    # every larger b2, and one admitted at a larger b2 is admitted at b2 when
+    # admissible_b4(b2, 0) - b3 >= 0
+    b4 = _forced_b4(b2, b3)
+    if b4 is not None:
+        assert b4 == admissible_b4(b2, 0) - b3
+        assert _forced_b4(b2 + more, b3) is not None
+    elif _forced_b4(b2 + more, b3) is not None:
+        assert admissible_b4(b2, 0) - b3 < 0
+
+
 def test_betti_table_indexes_its_entries():
     bt = BettiTable((1, 0, 22, 4, 262, 4, 22, 0, 1))
     assert bt == (1, 0, 22, 4, 262, 4, 22, 0, 1)
