@@ -41,16 +41,18 @@ Every (candidate, prime, t) triple must yield a certificate; a triple that
 refuses both branches aborts the run, because it would mean the verified
 chain of identities is broken.
 
-Each identity is affine in t and is checked at t = 0 and t = 1, which proves
-it for every t >= 0.  Before the sweep, prove builds what no candidate
-changes: the values at c4(W) = 0, and each prime's m and k with its
-fixed-locus identity chi_top = m + 24k + 0*t = 0.  The sweep checks the
-Salamon balances and chi_top(W) = 0 once per Table1Exclusion (candidate,
-prime) and holds the certificates as runs, one per (candidate, prime), that
-share all but t (``CertificateRun``); the LefschetzMismatch runs with equal
-chi_top(X) and p share one details object, and a Table1Exclusion run keeps
-b(W) as the checked affine form in t (``AffineBetti``).  ``prove`` returns the
-runs as ``Certificates``, which ``report_chunks`` streams as one report.
+Each identity is affine in t, so an equation checked at t = 0 and t = 1 holds
+for every t >= 0; nonnegativity is an inequality, so b(W)'s slope is checked
+too.  Before the sweep, prove builds what no candidate changes: the values at
+c4(W) = 0, and each prime's m and k with its fixed-locus identity
+chi_top = m + 24k + 0*t = 0.  The sweep checks the Salamon balances and
+chi_top(W) = 0 once per Table1Exclusion (candidate, prime) and holds the
+certificates as runs that share all but t (``CertificateRun``; a certificate
+is a run of one t), one per (candidate, prime), each verified once.  The
+LefschetzMismatch runs with equal chi_top(X) and p share one details object,
+and a Table1Exclusion run keeps b(W) as the checked affine form in t
+(``AffineBetti``).  ``prove`` returns the runs as ``Certificates``, which
+``report_chunks`` streams as one report.
 """
 
 from __future__ import annotations
@@ -173,19 +175,6 @@ class Branch(Enum):
     TABLE1_EXCLUSION = "Table1Exclusion"
 
 
-class Certificate(NamedTuple):
-    """Machine-checkable record of which contradiction refutes one
-    (candidate, prime, t) triple, with all intermediate exact values.
-    ``details`` may be shared between certificates: treat it as read-only."""
-
-    candidate: tuple[int, int]
-    prime: int
-    t: int
-    branch: Branch
-    details: dict[str, object]
-    hypotheses: tuple[str, ...]
-
-
 class AffineBetti(NamedTuple):
     """Betti numbers as an affine form in t: ``at(t)`` is ``base + slope*t``
     entrywise."""
@@ -198,10 +187,10 @@ class AffineBetti(NamedTuple):
 
 
 class CertificateRun(NamedTuple):
-    """The certificates of one (candidate, prime) for each t in ``ts``; they
-    differ only in t and share ``branch``, ``details`` and ``hypotheses``.
-    A ``details["betti_W"]`` that is an AffineBetti stands for its value at
-    each certificate's t."""
+    """The certificates of one (candidate, prime) for each t in ``ts``, one
+    certificate when ``ts`` has one t; they share ``branch``, ``details``
+    (read-only: runs share it too) and ``hypotheses``.  A betti_W that is an
+    AffineBetti stands for its value at each certificate's t."""
 
     candidate: tuple[int, int]
     prime: int
@@ -210,10 +199,15 @@ class CertificateRun(NamedTuple):
     details: dict[str, object]
     hypotheses: tuple[str, ...]
 
+    @property
+    def t(self) -> int:
+        """The run's first t, where verify_certificate places a failure."""
+        return self.ts.start
+
 
 class Certificates:
     """The certificates of one prove call, held as ``runs``: ``len`` and
-    iteration give one Certificate per (run, t), in run order."""
+    iteration give one per (run, t), in run order, as a run of that one t."""
 
     def __init__(self, runs: Iterable[CertificateRun]) -> None:
         self.runs = tuple(runs)
@@ -222,14 +216,14 @@ class Certificates:
     def __len__(self) -> int:
         return self._len
 
-    def __iter__(self) -> Iterator[Certificate]:
-        make = Certificate._make  # tuple.__new__, without Certificate()'s keywords
+    def __iter__(self) -> Iterator[CertificateRun]:
+        make = CertificateRun._make  # tuple.__new__, without the keywords of __new__
         for candidate, p, ts, branch, details, hypotheses in self.runs:
             form = details.get("betti_W")
             affine = isinstance(form, AffineBetti)  # then details per t, with b(W) at t
             for t in ts:
                 at_t = {**details, "betti_W": form.at(t)} if affine else details
-                yield make((candidate, p, t, branch, at_t, hypotheses))
+                yield make((candidate, p, range(t, t + 1), branch, at_t, hypotheses))
 
     def branch_counts(self) -> dict[str, int]:
         """Certificates per branch, keyed by branch name in Branch order."""
@@ -432,9 +426,9 @@ def prove(
 
     Returns one certificate per triple, in sweep order (candidates in file
     order, then primes, then t), held as runs.  verify_certificate reads only
-    the branch and details, which a run shares, so it is called once per run,
-    at the run's first t.  Raises VerificationError if any triple fails to
-    produce a contradiction or an internal identity breaks.
+    the branch and details, which a run shares, so it checks each run once and
+    places a failure at the run's first t.  Raises VerificationError if any
+    triple fails to produce a contradiction or an internal identity breaks.
     """
     if type(t_max) is not int or t_max < 0:
         raise ValueError(f"t_max must be a nonnegative int, got {t_max!r}")
@@ -466,9 +460,8 @@ def prove(
             f"expected {expected} certificates, produced {len(certificates)}",
             identity="certificate_count",
         )
-    make = Certificate._make  # tuple.__new__, without Certificate()'s keywords
-    for candidate, p, ts, branch, details, hypotheses in runs:
-        verify_certificate(make((candidate, p, ts[0], branch, details, hypotheses)))
+    for run in runs:
+        verify_certificate(run)
     return certificates
 
 
@@ -530,6 +523,12 @@ def _prove_candidate(
                 ) from None
         base, at_1 = forms
         betti_W = AffineBetti(base, tuple([y - x for x, y in zip(base, at_1)]))
+        if min(betti_W.slope) < 0:  # b(W) >= 0 at t = 0 and 1 fails at a later t
+            t = min(x // -s + 1 for x, s in zip(base, betti_W.slope) if s < 0)
+            raise VerificationError(
+                f"b(W) = {betti_W.at(t)} has a negative entry for ({b2}, {b3}), "
+                f"p={p}, t={t}", candidate=candidate, prime=p, t=t, identity="betti_W",
+            )
         out.append(CertificateRun(
             candidate, p, ts, Branch.TABLE1_EXCLUSION,
             {**details, "betti_W": betti_W, **zero_W}, _HYPOTHESES_EXCLUSION,
@@ -552,8 +551,8 @@ def _prime_details(p: int) -> dict[str, object]:
     return {"chi_top_fixed_locus": 0, "m": m, "k": k, "mk_elimination": elimination}
 
 
-def verify_certificate(cert: Certificate) -> None:
-    """Re-check the branch invariants of a certificate from its details."""
+def verify_certificate(cert: CertificateRun) -> None:
+    """Re-check the branch invariants of a run's certificates from its details."""
     chi_X = cert.details["chi_top_X"]
     if cert.branch is Branch.LEFSCHETZ_MISMATCH:
         if chi_X == 0:
@@ -579,9 +578,9 @@ def verify_certificate(cert: Certificate) -> None:
 
 
 def _certificate_error(
-    cert: Certificate, message: str, identity: str | None
+    cert: CertificateRun, message: str, identity: str | None
 ) -> VerificationError:
-    """A VerificationError located at ``cert``'s triple."""
+    """A VerificationError located at ``cert``'s first triple."""
     return VerificationError(
         message, candidate=cert.candidate, prime=cert.prime, t=cert.t,
         identity=identity,

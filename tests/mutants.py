@@ -241,9 +241,15 @@ MUTANTS = [
     ),
     (
         "pipeline.py",
-        "make((candidate, p, ts[0], branch, details, hypotheses))",
-        "make((candidate, p, ts[-1], branch, details, hypotheses))",
-        "prove verifies a run at its last t",
+        "        return self.ts.start\n",
+        "        return self.ts[-1]\n",
+        "a run's failure is placed at its last t",
+    ),
+    (
+        "pipeline.py",
+        "        if min(betti_W.slope) < 0:",
+        "        if False:",
+        "prove drops the slope check, so b(W) may go negative past t = 1",
     ),
     (
         "pipeline.py",

@@ -11,7 +11,12 @@ import pytest
 import hk4verify
 from hk4verify.cli import main
 from hk4verify.pipeline import emit_filter_report, filter_report_chunks, parse_candidates
-from test_pipeline import FLAGGED_ROWS, _broken_transport_duality, _region_text
+from test_pipeline import (
+    FLAGGED_ROWS,
+    _broken_transport_duality,
+    _broken_transport_negative,
+    _region_text,
+)
 
 FOUR_PAIRS = "b2,b3\n23,0\n7,8\n6,4\n5,0\n"
 
@@ -315,6 +320,21 @@ def test_a_b_w_that_is_not_a_4_fold_table_exits_2(tmp_path, monkeypatch, capsys)
     assert capsys.readouterr().err.startswith(
         "verification failed: b(W) is not a hyperkahler 4-fold table for (4, 32), p=3, t=1: "
         "Poincare duality fails"
+    )
+    assert sorted(tmp_path.iterdir()) == [src]  # no report file
+
+
+def test_a_b_w_that_goes_negative_past_t_max_exits_2(tmp_path, monkeypatch, capsys):
+    # b(W) is a 4-fold's table at t = 0 and t = 1, and b2(W) < 0 from t = 3 on
+    monkeypatch.setattr("hk4verify.pipeline.transport_betti", _broken_transport_negative)
+    src = tmp_path / "c4zero.csv"
+    src.write_text("b2,b3\n4,32\n")
+    argv = ["prove", "--candidates", str(src), "--primes", "3", "--t-max", "1",
+            "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "verification failed: b(W) = (1, 0, -2, 8, 18, 8, -2, 0, 1) has a negative "
+        "entry for (4, 32), p=3, t=3\n"
     )
     assert sorted(tmp_path.iterdir()) == [src]  # no report file
 

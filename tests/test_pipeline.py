@@ -15,7 +15,6 @@ from hk4verify._version import __version__
 from hk4verify.pipeline import (
     Branch,
     CandidateFormatError,
-    Certificate,
     CertificateRun,
     Certificates,
     DEFAULT_PRIMES,
@@ -36,6 +35,7 @@ from hk4verify.riemann_roch import filter_candidates
 from hk4verify.quotient import FixedLocusProfile, transport_betti
 from hk4verify.topology import (
     InadmissiblePairError,
+    TORUS2_BETTI,
     betti_from_pair,
     c4_from_betti,
     chern_from_betti,
@@ -262,6 +262,7 @@ def test_plain_body_reads_like_the_token_split_reference(rows, kind, i, preamble
 @example("01,2\n")
 @example("1,2\n34")
 @example("5")
+@example("0,-0\n")
 def test_a_plain_row_is_a_row(body):
     # the bulk reader accepts a body only when it is one or more lines, each a
     # row that _ROW_RE reads, spelled with no blank, sign or leading zero, and
@@ -271,7 +272,7 @@ def test_a_plain_row_is_a_row(body):
     matches = [pipeline._ROW_RE.fullmatch(line) for line in lines]
     plain = body.endswith("\n") and all(
         match and f"{match[1]},{match[2]}" == line
-        and not re.search(r"(^|,)0[0-9]", line)
+        and not re.search(r"(^|,)0[0-9]|[+-]", line)
         for match, line in zip(matches, lines)
     )
     if columns is None:
@@ -623,6 +624,25 @@ def test_transport_without_poincare_duality_fails_the_betti_table_check(monkeypa
     assert (err.candidate, err.prime, err.t, err.identity) == ((4, 32), 3, 1, "betti_W")
 
 
+def _broken_transport_negative(bY, profile):
+    # the torus increment subtracted: both Salamon balances and chi_top(W) hold
+    scale = (profile.p - 1) * profile.t
+    return tuple(b - scale * s for b, s in zip(bY, (0, 0, *TORUS2_BETTI, 0, 0)))
+
+
+@pytest.mark.parametrize("pair, p, t", [((4, 32), 3, 3), ((40, 176), 13, 4)])
+def test_transport_with_a_negative_slope_fails_the_betti_table_check(
+    monkeypatch, pair, p, t
+):
+    # b(W) passes BettiTable at t = 0 and t = 1 and goes negative at t, past
+    # t_max: prove checks the slope, since nonnegativity is an inequality
+    monkeypatch.setattr("hk4verify.pipeline.transport_betti", _broken_transport_negative)
+    with pytest.raises(VerificationError, match="has a negative entry") as exc:
+        prove(parse_candidates("b2,b3\n%d,%d\n" % pair), primes=(p,), t_max=0)
+    err = exc.value
+    assert (err.candidate, err.prime, err.t, err.identity) == (pair, p, t, "betti_W")
+
+
 def _broken_transport_chi(bY, profile):
     b = list(bY)
     b[0] += profile.t  # Salamon defect unchanged, chi_top(W) = t
@@ -710,25 +730,14 @@ def test_lefschetz_runs_with_equal_chi_top_x_and_prime_share_details():
 def test_verify_certificate_rejects_tampering():
     cf = parse_candidates("b2,b3\n23,0\n")
     (cert,) = prove(cf, primes=(2,), t_max=0)
-    bad = Certificate(
-        candidate=cert.candidate,
-        prime=cert.prime,
-        t=cert.t,
-        branch=cert.branch,
-        details={**cert.details, "chi_top_X": 0},
-        hypotheses=cert.hypotheses,
-    )
+    bad = cert._replace(details={**cert.details, "chi_top_X": 0})
     with pytest.raises(VerificationError) as exc:
         verify_certificate(bad)
     assert (exc.value.candidate, exc.value.prime, exc.value.t) == ((23, 0), 2, 0)
     assert exc.value.identity == "lefschetz_mismatch"
-    bad_exclusion = Certificate(
-        candidate=cert.candidate,
-        prime=cert.prime,
-        t=cert.t,
+    bad_exclusion = cert._replace(
         branch=Branch.TABLE1_EXCLUSION,
         details={**cert.details, "chi_top_X": 0, "c4_W": 324},
-        hypotheses=cert.hypotheses,
     )
     with pytest.raises(VerificationError):
         verify_certificate(bad_exclusion)
@@ -751,6 +760,7 @@ def test_certificates_sequence_matches_the_per_triple_sweep():
     listed = list(certs)
     assert len(certs) == len(listed) == len(sweep) == 126 * 2 * 4
     assert [(c.candidate, c.prime, c.t, c.branch) for c in listed] == sweep
+    assert all(c.ts == range(c.t, c.t + 1) for c in listed)
     # one run per (candidate, prime) on either branch
     assert len(certs.runs) == 126 * 2
     assert certs.branch_counts() == {"LefschetzMismatch": 976, "Table1Exclusion": 32}
@@ -774,7 +784,7 @@ def test_lefschetz_run_with_zero_chi_top_x_fails_at_its_first_t(monkeypatch):
     assert (err.candidate, err.prime, err.t, err.identity) == (
         (0, 0), 2, 0, "lefschetz_mismatch",
     )
-    assert str(err).startswith("LefschetzMismatch with chi_top(X) = 0: Certificate(")
+    assert str(err).startswith("LefschetzMismatch with chi_top(X) = 0: CertificateRun(")
 
 
 def test_zero_chi_w_with_rational_roots_fails_at_its_first_t(monkeypatch):
