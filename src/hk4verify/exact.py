@@ -1,5 +1,5 @@
-"""Exact rational arithmetic: perfect-square detection and the text of numbers
-(integers, and rationals in `p/q` form).
+"""Exact rational arithmetic: perfect-square detection, the text of numbers
+(integers, and rationals in `p/q` form), and integer polynomials.
 
 Every quantity the verification pipeline touches is an arbitrary-precision
 integer or a reduced fraction of such integers.  Rationals are represented by
@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 
 def int_sqrt_exact(n: int) -> int | None:
@@ -86,3 +88,42 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(q: Fraction) -> str:
     """Render a rational as `p/q` (denominator kept even when it is 1)."""
     return f"{q.numerator}/{q.denominator}"
+
+
+class Poly:
+    """An integer polynomial: ``terms`` maps each monomial, the sorted tuple of
+    its variables' names (``("q", "t")`` is q*t), to its nonzero coefficient.
+    +, - and * take Polys and ints, and == and != compare coefficients."""
+
+    def __init__(self, terms: dict[tuple[str, ...], int]) -> None:
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    @classmethod
+    def var(cls, name: str) -> Poly:
+        return cls({(name,): 1})
+
+    @staticmethod
+    def of(x: Poly | int) -> Poly:
+        return x if isinstance(x, Poly) else Poly({(): x})
+
+    def __add__(self, other: Poly | int) -> Poly:
+        terms = Counter(self.terms)
+        terms.update(Poly.of(other).terms)  # adds, unlike dict.update
+        return Poly(terms)
+
+    def __mul__(self, other: Poly | int) -> Poly:
+        terms: Counter[tuple[str, ...]] = Counter()
+        for (e, c), (f, d) in product(self.terms.items(), Poly.of(other).terms.items()):
+            terms[tuple(sorted(e + f))] += c * d
+        return Poly(terms)
+
+    __radd__, __rmul__ = __add__, __mul__
+    __neg__ = lambda self: self * -1
+    __sub__ = lambda self, other: self + -other
+    __rsub__ = lambda self, other: -self + other
+
+    def __eq__(self, other: object) -> bool:  # object's != negates it
+        return isinstance(other, (Poly, int)) and self.terms == Poly.of(other).terms
+
+    def __repr__(self) -> str:
+        return f"Poly({self.terms!r})"

@@ -41,18 +41,16 @@ Every (candidate, prime, t) triple must yield a certificate; a triple that
 refuses both branches aborts the run, because it would mean the verified
 chain of identities is broken.
 
-Each identity is affine in t, so an equation checked at t = 0 and t = 1 holds
-for every t >= 0; nonnegativity is an inequality, so b(W)'s slope is checked
-too.  Before the sweep, prove builds what no candidate changes: the values at
-c4(W) = 0, and each prime's m and k with its fixed-locus identity
-chi_top = m + 24k + 0*t = 0.  The sweep checks the Salamon balances and
-chi_top(W) = 0 once per Table1Exclusion (candidate, prime) and holds the
-certificates as runs that share all but t (``CertificateRun``; a certificate
-is a run of one t), one per (candidate, prime), each verified once.  The
-LefschetzMismatch runs with equal chi_top(X) and p share one details object,
-and a Table1Exclusion run keeps b(W) as the checked affine form in t
-(``AffineBetti``).  ``prove`` returns the runs as ``Certificates``, which
-``report_chunks`` streams as one report.
+Before the sweep, prove checks once, on polynomials in (b2, b3, p - 1, m, k,
+t), the identities the sweep rests on, for all integers (chi_top(X) = c4, the
+Salamon balances, chi_top(W) and the fixed locus's chi_top), and that b(W) =
+b(X) + (p - 1)*t*c is a 4-fold's table at every t >= 0.  It builds each
+prime's m and k, whose fixed locus must have chi_top 0, and the values at
+c4(W) = 0.  Per (candidate, prime) the sweep holds the certificates as one
+run (``CertificateRun``; a certificate is a run of one t), verified once; a
+Table1Exclusion run keeps b(W) as the affine form (``AffineBetti``), and the
+LefschetzMismatch runs with equal chi_top(X) and p share one details object.
+``prove`` returns the runs as ``Certificates``, streamed by ``report_chunks``.
 """
 
 from __future__ import annotations
@@ -67,13 +65,14 @@ from enum import Enum
 from fractions import Fraction
 from functools import partial
 from itertools import chain
-from operator import sub
+from operator import add, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from ._version import __version__
-from .exact import ASCII_DIGITS, BLANKS, INT, PAD, format_rational
+from .exact import ASCII_DIGITS, BLANKS, INT, PAD, Poly, format_rational
 from .quotient import (
     FixedLocusProfile,
+    _FixedLocusProfile,
     is_prime,
     lefschetz_euler_fixed,
     mk_elimination_equation,
@@ -92,6 +91,7 @@ from .topology import (
     InadmissiblePairError,
     admissible_b4,
     betti_from_pair,
+    betti_numbers,
     c4_from_betti,
     euler_characteristic,
     salamon_defect,
@@ -443,6 +443,7 @@ def prove(
     expected = len(candidates.b2s) * len(primes) * (t_max + 1)
     if expected > sys.maxsize:  # len() of the result could not be taken
         raise ValueError(f"{expected} certificates exceed sys.maxsize = {sys.maxsize}")
+    slope = _check_identities()
     fixed = {p: _prime_details(p) for p in primes}  # no candidate changes these
     d, sqrt, roots = zero_chi(0)  # nor the values at c4(W) = chi_top(W) = 0
     zero_W = {
@@ -453,7 +454,7 @@ def prove(
     ts = range(t_max + 1)
     runs: list[CertificateRun] = []
     for b2, b3 in zip(candidates.b2s, candidates.b3s):
-        runs += _prove_candidate(b2, b3, ts, fixed, zero_W, classes)
+        runs += _prove_candidate(b2, b3, ts, fixed, zero_W, classes, slope)
     certificates = Certificates(runs)
     if len(certificates) != expected:
         raise VerificationError(
@@ -465,88 +466,72 @@ def prove(
     return certificates
 
 
+def _check_identities() -> tuple[int, ...]:
+    """Check the identities the sweep rests on, running the unmodified formulas
+    on polynomials in b2, b3, q = p - 1, m, k and t.  Returns c with b(W) - b(X)
+    = q*t*c + q*k*(K3 term), c >= 0 and b(X) + c a 4-fold's table."""
+    b2, b3, q, m, k, t = map(Poly.var, ("b2", "b3", "q", "m", "k", "t"))
+    c4 = c4_from_betti(b2, b3)
+    profile = _FixedLocusProfile(q + 1, m, k, t)
+    bX = betti_numbers(b2, b3)
+    bW = transport_betti(bX, profile)
+    diff = [Poly.of(w - x) for w, x in zip(bW, bX)]
+    c, k3 = (tuple([d.terms.get(e, 0) for d in diff]) for e in (("q", "t"), ("k", "q")))
+    rows = (
+        ("chi_top_X", euler_characteristic(bX), c4),
+        ("salamon_W", salamon_defect(bW), 12 * q * k),
+        ("orbifold_salamon_W", orbifold_salamon_defect(bW, profile), q * (m + 12 * k)),
+        ("chi_top_W", euler_characteristic(bW), c4 + 24 * q * k),
+        ("chi_top_fixed_locus", lefschetz_euler_fixed(profile), m + 24 * k),
+        ("betti_W", diff, [q * t * x + q * k * y for x, y in zip(c, k3)]),
+    )
+    try:
+        for identity, got, stated in rows:
+            if got != stated:
+                raise ValueError(f"{got} != {stated}")
+        identity = "betti_W"
+        if min(c) < 0:
+            raise ValueError(f"b(X) + (p - 1)*t*{c} goes negative as t grows")
+        BettiTable(map(add, betti_numbers(0, 0), c))  # b(X) at b2 = b3 = 0, plus c
+    except ValueError as exc:
+        message = f"{identity} fails on polynomials: {exc}"
+        raise VerificationError(message, identity=identity) from None
+    return c
+
+
 def _prove_candidate(
     b2: int, b3: int, ts: range, fixed: dict[int, dict[str, object]],
     zero_W: dict[str, object], classes: dict[tuple[int, int], dict[str, object]],
+    slope: tuple[int, ...],
 ) -> list[CertificateRun]:
     """The runs of one candidate over ``ts``, one per prime of ``fixed`` (each
-    prime's details).  ``zero_W`` holds the values at c4(W) = 0, and
-    ``classes`` the details that runs with equal (chi_top(X), p) share."""
-    candidate = (b2, b3)
+    prime's details), with ``zero_W``, the values at c4(W) = 0, ``classes``,
+    the details shared by equal (chi_top(X), p), and _check_identities' c."""
     bX = betti_from_pair(b2, b3)
-    chi_X = euler_characteristic(bX)
-    c4 = c4_from_betti(b2, b3)
-    if chi_X != c4:
-        raise VerificationError(
-            f"chi_top(X) = {chi_X} disagrees with c4 = {c4} for ({b2}, {b3})",
-            candidate=candidate, identity="chi_top_X",
-        )
+    chi_X = c4_from_betti(b2, b3)  # chi_top(X) = c4, checked on polynomials
     out: list[CertificateRun] = []
     for p, prime_details in fixed.items():
         details = classes.setdefault((chi_X, p), {"chi_top_X": chi_X, **prime_details})
         if chi_X != details["chi_top_fixed_locus"]:
-            out.append(CertificateRun(
-                candidate, p, ts, Branch.LEFSCHETZ_MISMATCH, details,
-                _HYPOTHESES_COMMON,
-            ))
-            continue
-        # chi_top(X) = 0: through the quotient to the resolution W, with c4(W) = 0
-        forms = []  # b(W) at t = 0 and t = 1
-        for t in (0, 1):
-            profile = FixedLocusProfile(p=p, m=details["m"], k=details["k"], t=t)
-            bY = bX  # numerical triviality copies the Betti table
-            bW = transport_betti(bY, profile)
-            if salamon_defect(bW) != 0:
-                raise VerificationError(
-                    f"transported Salamon defect nonzero for ({b2}, {b3}), "
-                    f"p={p}, t={t}: {salamon_defect(bW)}",
-                    candidate=candidate, prime=p, t=t, identity="salamon_W",
-                )
-            if orbifold_salamon_defect(bW, profile) != 0:
-                raise VerificationError(
-                    f"orbifold Salamon defect nonzero for ({b2}, {b3}), p={p}, t={t}",
-                    candidate=candidate, prime=p, t=t, identity="orbifold_salamon_W",
-                )
-            chi_W = euler_characteristic(bW)
-            if chi_W != 0:
-                raise VerificationError(
-                    f"chi_top(W) = {chi_W} should vanish for ({b2}, {b3}), p={p}, t={t}",
-                    candidate=candidate, prime=p, t=t, identity="chi_top_W",
-                )
-            try:
-                forms.append(BettiTable(bW))
-            except ValueError as exc:
-                raise VerificationError(
-                    f"b(W) is not a hyperkahler 4-fold table for ({b2}, {b3}), "
-                    f"p={p}, t={t}: {exc}",
-                    candidate=candidate, prime=p, t=t, identity="betti_W",
-                ) from None
-        base, at_1 = forms
-        betti_W = AffineBetti(base, tuple([y - x for x, y in zip(base, at_1)]))
-        if min(betti_W.slope) < 0:  # b(W) >= 0 at t = 0 and 1 fails at a later t
-            t = min(x // -s + 1 for x, s in zip(base, betti_W.slope) if s < 0)
-            raise VerificationError(
-                f"b(W) = {betti_W.at(t)} has a negative entry for ({b2}, {b3}), "
-                f"p={p}, t={t}", candidate=candidate, prime=p, t=t, identity="betti_W",
-            )
-        out.append(CertificateRun(
-            candidate, p, ts, Branch.TABLE1_EXCLUSION,
-            {**details, "betti_W": betti_W, **zero_W}, _HYPOTHESES_EXCLUSION,
-        ))
+            branch, hypotheses = Branch.LEFSCHETZ_MISMATCH, _HYPOTHESES_COMMON
+        else:  # chi_top(X) = 0: through the quotient to W, with c4(W) = 0
+            branch, hypotheses = Branch.TABLE1_EXCLUSION, _HYPOTHESES_EXCLUSION
+            betti_W = AffineBetti(bX, tuple([(p - 1) * x for x in slope]))
+            details = {**details, "betti_W": betti_W, **zero_W}
+        out.append(CertificateRun((b2, b3), p, ts, branch, details, hypotheses))
     return out
 
 
 def _prime_details(p: int) -> dict[str, object]:
-    """The details of prime p, which no candidate changes, after checking
-    its fixed-locus identity at t = 0 and t = 1."""
+    """The details of prime p, which no candidate changes, after checking that
+    its fixed locus has chi_top 0 (at any t: _check_identities found m + 24k)."""
     m, k = solve_mk(p)
-    for t in (0, 1):  # chi_top of the fixed locus is affine in t
-        got = lefschetz_euler_fixed(FixedLocusProfile(p=p, m=m, k=k, t=t))
-        if got != 0:
-            raise VerificationError(
-                f"fixed locus of {t} tori must have chi_top 0, got {got}",
-                prime=p, t=t, identity="chi_top_fixed_locus",
-            )
+    got = lefschetz_euler_fixed(FixedLocusProfile(p=p, m=m, k=k, t=0))
+    if got != 0:
+        raise VerificationError(
+            f"fixed locus of {m} points and {k} K3 surfaces must have chi_top 0, "
+            f"got {got}", prime=p, identity="chi_top_fixed_locus",
+        )
     elimination = mk_elimination_equation(p)
     return {"chi_top_fixed_locus": 0, "m": m, "k": k, "mk_elimination": elimination}
 

@@ -78,6 +78,12 @@ def chern_from_betti(b2: int, b3: int) -> ChernData:
     return ChernData(c2sq=(c4 + 2160) // 3, c4=c4)
 
 
+def betti_numbers(b2: int, b3: int) -> tuple[int, ...]:
+    """b0..b8 of a hyperkahler 4-fold with b2 and b3, unchecked: b4 by the
+    Salamon relation, the rest by Poincare duality, b0 = 1 and b1 = 0."""
+    return (1, 0, b2, b3, 46 + 10 * b2 - b3, b3, b2, 0, 1)
+
+
 def admissible_b4(b2: int, b3: int) -> int:
     """The b4 that the Salamon relation b4 + b3 - 10*b2 = 46 forces on an
     admissible (b2, b3) pair.
@@ -93,7 +99,7 @@ def admissible_b4(b2: int, b3: int) -> int:
         )
     if b3 % 2 != 0:
         raise InadmissiblePairError(f"b3 must be even, got {b3}")
-    b4 = 46 + 10 * b2 - b3
+    b4 = betti_numbers(b2, b3)[4]
     if b4 < 0:
         raise InadmissiblePairError(
             f"Salamon relation forces b4 = 46 + 10*{b2} - {b3} = {b4} < 0"
@@ -102,14 +108,10 @@ def admissible_b4(b2: int, b3: int) -> int:
 
 
 def betti_from_pair(b2: int, b3: int) -> BettiTable:
-    """Complete (b2, b3) to the full table of a hyperkahler 4-fold.
-
-    b4 comes from admissible_b4, and the remaining degrees follow from
-    Poincare duality, simple connectedness and b1 = 0.  Raises
-    InadmissiblePairError on the pairs admissible_b4 rejects.
-    """
-    b4 = admissible_b4(b2, b3)
-    return BettiTable((1, 0, b2, b3, b4, b3, b2, 0, 1))
+    """The checked betti_numbers(b2, b3); InadmissiblePairError on the pairs
+    admissible_b4 rejects."""
+    admissible_b4(b2, b3)
+    return BettiTable(betti_numbers(b2, b3))
 
 
 def salamon_defect(bt: Sequence[int]) -> int:

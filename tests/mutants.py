@@ -70,9 +70,9 @@ MUTANTS = [
     ),
     (
         "pipeline.py",
-        "forms.append(BettiTable(bW))",
-        "forms.append(bW)",
-        "prove keeps b(W) without checking it is a 4-fold's table",
+        "        BettiTable(map(add, betti_numbers(0, 0), c))",
+        "        tuple(map(add, betti_numbers(0, 0), c))",
+        "the preflight takes b(X) + c without checking it is a 4-fold's table",
     ),
     (
         "pipeline.py",
@@ -217,12 +217,6 @@ MUTANTS = [
     ),
     (
         "pipeline.py",
-        "    for t in (0, 1):  # chi_top of the fixed locus is affine in t\n",
-        "    for t in (0,):\n",
-        "the fixed-locus form is checked at t = 0 only",
-    ),
-    (
-        "pipeline.py",
         "        if admits_zero_chi(c4_W):\n",
         "        if False:\n",
         "verify_certificate drops the zero-chi check, prove's only one",
@@ -247,9 +241,33 @@ MUTANTS = [
     ),
     (
         "pipeline.py",
-        "        if min(betti_W.slope) < 0:",
+        "        if min(c) < 0:",
         "        if False:",
-        "prove drops the slope check, so b(W) may go negative past t = 1",
+        "the preflight drops c >= 0, so b(W) may go negative as t grows",
+    ),
+    (
+        "pipeline.py",
+        '        ("chi_top_W", euler_characteristic(bW), c4 + 24 * q * k),\n',
+        "",
+        "the preflight drops the chi_top(W) identity",
+    ),
+    (
+        "pipeline.py",
+        '(("q", "t"), ("k", "q"))',
+        '(("t",), ("k", "q"))',
+        "the preflight reads b(W)'s slope off t, not q*t",
+    ),
+    (
+        "exact.py",
+        "isinstance(other, (Poly, int)) and self.terms == Poly.of(other).terms",
+        "True",
+        "every Poly equals everything",
+    ),
+    (
+        "exact.py",
+        "{e: c for e, c in terms.items() if c}",
+        "dict(terms)",
+        "Poly keeps zero coefficients, so x - x != 0",
     ),
     (
         "pipeline.py",

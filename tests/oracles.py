@@ -1,19 +1,17 @@
 """Independent reference implementations the tests compare the package
 against: a token-split reader of candidate rows, a rational quadratic solver,
 the Riemann-Roch quadratic in its rational and fully general forms, the
-Kuenneth product behind the Betti transport, and integer polynomials with an
-unchecked stand-in for FixedLocusProfile, on which the package's formulas run
-symbolically."""
+Kuenneth product behind the Betti transport, and an evaluator of integer
+polynomials."""
 
 from __future__ import annotations
 
 import math
 import re
-from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
-from hk4verify.exact import rational_sqrt_exact
+from hk4verify.exact import Poly, rational_sqrt_exact
 from hk4verify.topology import InadmissiblePairError, admissible_b4
 
 
@@ -188,62 +186,9 @@ def exceptional_betti(surface: tuple[int, ...], p: int) -> tuple[int, ...]:
     return ExceptionalFiber(surface, p - 1).betti()
 
 
-#: The variables of Poly: q stands for p - 1.
-VARIABLES = ("b2", "b3", "q", "m", "k", "t")
-
-
-class Poly:
-    """An integer polynomial in VARIABLES, held as a dict from exponent tuples
-    to nonzero coefficients; +, - and * take Polys and ints."""
-
-    def __init__(self, terms: dict[tuple[int, ...], int]) -> None:
-        self.terms = {e: c for e, c in terms.items() if c}
-
-    @classmethod
-    def var(cls, name: str) -> Poly:
-        return cls({tuple(int(v == name) for v in VARIABLES): 1})
-
-    @staticmethod
-    def of(x: Poly | int) -> Poly:
-        return x if isinstance(x, Poly) else Poly({(0,) * len(VARIABLES): x})
-
-    def __add__(self, other: Poly | int) -> Poly:
-        terms = dict(self.terms)
-        for e, c in Poly.of(other).terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return Poly(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> Poly:
-        return Poly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: Poly | int) -> Poly:
-        return self + -Poly.of(other)
-
-    def __mul__(self, other: Poly | int) -> Poly:
-        terms: dict[tuple[int, ...], int] = {}
-        other = Poly.of(other)
-        for e, c in self.terms.items():
-            for f, d in other.terms.items():
-                ef = tuple(x + y for x, y in zip(e, f))
-                terms[ef] = terms.get(ef, 0) + c * d
-        return Poly(terms)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (Poly, int)):
-            return NotImplemented
-        return self.terms == Poly.of(other).terms
-
-    def degree(self, name: str) -> int:
-        i = VARIABLES.index(name)
-        return max((e[i] for e in self.terms), default=0)
-
-    def __repr__(self) -> str:
-        return f"Poly({self.terms!r})"
-
-
-#: FixedLocusProfile's fields, without its primality and sign checks.
-SymbolicProfile = namedtuple("SymbolicProfile", "p m k t")
+def evaluate(poly: Poly | int, point: dict[str, int]) -> int:
+    """The value of ``poly`` at ``point``, a value for each variable name: the
+    sum over its terms of the coefficient times the product of the values."""
+    if isinstance(poly, int):
+        return poly
+    return sum(c * math.prod(point[v] for v in e) for e, c in poly.terms.items())

@@ -299,44 +299,38 @@ def test_verification_failure_exits_2(tmp_path, monkeypatch, capsys):
     assert main(["prove", "--out", str(tmp_path / "x.json")]) == 2
     assert "verification failed" in capsys.readouterr().err
     monkeypatch.undo()
-    # a real broken identity: the message names the triple, nothing else
+    # a real broken identity: the message names the identity, nothing else
     monkeypatch.setattr("hk4verify.pipeline.lefschetz_euler_fixed", lambda pr: pr.t)
     argv = ["prove", "--primes", "2", "--t-max", "1", "--out", str(tmp_path / "y.json")]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        "verification failed: fixed locus of 1 tori must have chi_top 0, got 1\n"
+        "verification failed: chi_top_fixed_locus fails on polynomials: "
+        "Poly({('t',): 1}) != Poly({('m',): 1, ('k',): 24})\n"
     )
     assert sorted(tmp_path.iterdir()) == []  # no report file, not even an empty one
 
 
 def test_a_b_w_that_is_not_a_4_fold_table_exits_2(tmp_path, monkeypatch, capsys):
-    # b5 and b6 off by 2t: every named identity holds, BettiTable refuses b(W)
+    # b5 and b6 off by 2(p - 1)t: every named identity holds, and BettiTable
+    # refuses b(X) + c at b2 = b3 = 0, on any input and at --t-max 0
     monkeypatch.setattr("hk4verify.pipeline.transport_betti", _broken_transport_duality)
-    src = tmp_path / "c4zero.csv"
-    src.write_text("b2,b3\n4,32\n")  # c4 = 0: the Table1Exclusion branch
-    out = tmp_path / "r.json"
-    argv = ["prove", "--candidates", str(src), "--primes", "3", "--t-max", "1", "--out", str(out)]
-    assert main(argv) == 2
-    assert capsys.readouterr().err.startswith(
-        "verification failed: b(W) is not a hyperkahler 4-fold table for (4, 32), p=3, t=1: "
-        "Poincare duality fails"
+    assert main(["prove", "--t-max", "0", "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == (
+        "verification failed: betti_W fails on polynomials: Poincare duality fails: "
+        "(1, 0, 1, 4, 52, 6, 3, 0, 1)\n"
     )
-    assert sorted(tmp_path.iterdir()) == [src]  # no report file
+    assert sorted(tmp_path.iterdir()) == []  # no report file
 
 
 def test_a_b_w_that_goes_negative_past_t_max_exits_2(tmp_path, monkeypatch, capsys):
-    # b(W) is a 4-fold's table at t = 0 and t = 1, and b2(W) < 0 from t = 3 on
+    # the torus term subtracted twice: b(W) goes negative as t grows
     monkeypatch.setattr("hk4verify.pipeline.transport_betti", _broken_transport_negative)
-    src = tmp_path / "c4zero.csv"
-    src.write_text("b2,b3\n4,32\n")
-    argv = ["prove", "--candidates", str(src), "--primes", "3", "--t-max", "1",
-            "--out", str(tmp_path / "r.json")]
-    assert main(argv) == 2
+    assert main(["prove", "--t-max", "0", "--out", str(tmp_path / "r.json")]) == 2
     assert capsys.readouterr().err == (
-        "verification failed: b(W) = (1, 0, -2, 8, 18, 8, -2, 0, 1) has a negative "
-        "entry for (4, 32), p=3, t=3\n"
+        "verification failed: betti_W fails on polynomials: "
+        "b(X) + (p - 1)*t*(0, 0, -1, -4, -6, -4, -1, 0, 0) goes negative as t grows\n"
     )
-    assert sorted(tmp_path.iterdir()) == [src]  # no report file
+    assert sorted(tmp_path.iterdir()) == []  # no report file
 
 
 def test_prove_writes_the_pinned_report_on_b2_le_9_region(tmp_path):

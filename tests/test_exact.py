@@ -5,13 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hk4verify.exact import (
+    Poly,
     format_rational,
     int_sqrt_exact,
     parse_int,
     parse_rational,
     rational_sqrt_exact,
 )
-from oracles import IndeterminateEquationError, solve_rational_quadratic
+from oracles import IndeterminateEquationError, evaluate, solve_rational_quadratic
 
 
 def test_int_sqrt_examples():
@@ -155,3 +156,30 @@ def test_format_rational():
 @given(st.fractions())
 def test_parse_format_roundtrip(q):
     assert parse_rational(format_rational(q)) == q
+
+
+_monomials = st.lists(st.sampled_from("xyz"), max_size=3).map(lambda v: tuple(sorted(v)))
+_polys = st.dictionaries(_monomials, st.integers(-9, 9), max_size=4).map(Poly)
+
+
+@given(_polys, st.one_of(_polys, st.integers(-9, 9)),
+       st.fixed_dictionaries({v: st.integers(-9, 9) for v in "xyz"}))
+def test_poly_arithmetic_commutes_with_evaluation(a, b, point):
+    assert evaluate(-a, point) == -evaluate(a, point)
+    for left, right in ((a, b), (b, a)):  # an int on either side
+        u, v = evaluate(left, point), evaluate(right, point)
+        assert evaluate(left + right, point) == u + v
+        assert evaluate(left - right, point) == u - v
+        assert evaluate(left * right, point) == u * v
+
+
+def test_poly_equality_and_inequality_agree():
+    x, y = Poly.var("x"), Poly.var("y")
+    cases = [
+        (Poly({}), 0), (Poly({(): 0}), 0), (Poly({(): 5}), 5), (x - x, 0), (x * 0, 0),
+        (x, 0), (x, 1), (x + 1, 1), (Poly({(): 5}), 4), (x, y), (x, x), (x + y, y + x),
+        (x * y, y * x), (Poly({}), Poly({(): 0})), (Poly({(): 5}), Poly.of(5)),
+    ]
+    assert [a == b for a, b in cases] == [True] * 5 + [False] * 5 + [True] * 5
+    for a, b in cases:
+        assert (a != b) is (not (a == b)) and (b != a) is (not (b == a))

@@ -581,126 +581,129 @@ def _broken_fixed_locus(profile):
     return profile.t  # chi_top of t tori, broken: should be 0
 
 
-def _broken_transport(bY, profile):
-    b = list(bY)
-    b[2] += profile.t  # no matching b4 term: Salamon defect -10*t
-    return tuple(b)
+def _transport_plus(bY, profile, extra, by=None):
+    """transport_betti plus ``by`` (default (p - 1)*t) times ``extra``."""
+    by = (profile.p - 1) * profile.t if by is None else by
+    return tuple(w + by * x for w, x in zip(transport_betti(bY, profile), extra))
 
 
-@pytest.mark.parametrize(
-    "name, broken, message, identity",
-    [
-        ("lefschetz_euler_fixed", _broken_fixed_locus,
-         "fixed locus of 1 tori must have chi_top 0, got 1", "chi_top_fixed_locus"),
-        ("transport_betti", _broken_transport,
-         "transported Salamon defect nonzero for (4, 32), p=3, t=1: -10", "salamon_W"),
-    ],
-)
+def _broken_transport_salamon(bY, profile):
+    return _transport_plus(bY, profile, (0, 0, 0, 0, 1, 0, 0, 0, 0))
+
+
+def _broken_transport_chi(bY, profile):  # Salamon defects unchanged
+    return _transport_plus(bY, profile, (1, 0, 0, 0, 0, 0, 0, 0, 0))
+
+
+def _broken_transport_duality(bY, profile):  # every named identity unchanged
+    return _transport_plus(bY, profile, (0, 0, 0, 0, 0, 2, 2, 0, 0))
+
+
+def _broken_transport_unscaled(bY, profile):  # the same, without the factor p - 1
+    return _transport_plus(bY, profile, (0, 0, 0, 0, 0, 2, 2, 0, 0), profile.t)
+
+
+def _broken_transport_negative(bY, profile):  # the torus term, subtracted twice
+    return _transport_plus(bY, profile, [-2 * s for s in (0, 0, *TORUS2_BETTI, 0, 0)])
+
+
+#: (name in pipeline, broken stand-in, the identity whose check must fail)
+BROKEN_FORMULAS = [
+    ("c4_from_betti", lambda b2, b3: 49 + 12 * b2 - 3 * b3, "chi_top_X"),
+    ("transport_betti", _broken_transport_salamon, "salamon_W"),
+    ("orbifold_salamon_defect",  # the points weighted by p, not p - 1
+     lambda bW, pr: quotient.orbifold_salamon_defect(bW, pr) + pr.m, "orbifold_salamon_W"),
+    ("transport_betti", _broken_transport_chi, "chi_top_W"),
+    ("lefschetz_euler_fixed", _broken_fixed_locus, "chi_top_fixed_locus"),
+    ("transport_betti", _broken_transport_unscaled, "betti_W"),
+    ("transport_betti", _broken_transport_duality, "betti_W"),
+    ("transport_betti", _broken_transport_negative, "betti_W"),
+]
+
+
+@pytest.mark.parametrize("name, broken, identity", BROKEN_FORMULAS)
 def test_verification_error_names_triple_and_identity(
-    monkeypatch, name, broken, message, identity
+    monkeypatch, name, broken, identity
 ):
+    # the identities are checked once, on polynomials: a broken one fails on
+    # a file without pairs and at t_max = 0, and names no candidate, prime or t
     monkeypatch.setattr(f"hk4verify.pipeline.{name}", broken)
-    with pytest.raises(VerificationError) as exc:
-        prove(parse_candidates("b2,b3\n4,32\n"), primes=(3,), t_max=2)
-    assert str(exc.value) == message
-    err = exc.value
-    candidate = None if name == "lefschetz_euler_fixed" else (4, 32)  # names no pair
-    assert (err.candidate, err.prime, err.t, err.identity) == (candidate, 3, 1, identity)
-
-
-def _broken_transport_duality(bY, profile):
-    b = list(bY)
-    b[5] += 2 * profile.t  # Salamon, orbifold Salamon and chi_top(W) unchanged
-    b[6] += 2 * profile.t
-    return tuple(b)
+    for text, t_max in (("b2,b3\n", 0), ("b2,b3\n23,0\n4,32\n", 3)):
+        with pytest.raises(VerificationError, match=f"^{identity} fails on poly") as e:
+            prove(parse_candidates(text), primes=(3, 2), t_max=t_max)
+        assert vars(e.value) == dict(candidate=None, prime=None, t=None, identity=identity)
 
 
 def test_transport_without_poincare_duality_fails_the_betti_table_check(monkeypatch):
-    # prove checks b(W) with BettiTable after its named identities
+    # every named identity holds; BettiTable refuses b(X) + c at b2 = b3 = 0
     monkeypatch.setattr("hk4verify.pipeline.transport_betti", _broken_transport_duality)
-    with pytest.raises(VerificationError, match="Poincare duality fails") as exc:
+    with pytest.raises(VerificationError) as exc:
         prove(parse_candidates("b2,b3\n4,32\n"), primes=(3,), t_max=0)
-    err = exc.value
-    assert (err.candidate, err.prime, err.t, err.identity) == ((4, 32), 3, 1, "betti_W")
+    assert str(exc.value) == (
+        "betti_W fails on polynomials: Poincare duality fails: (1, 0, 1, 4, 52, 6, 3, 0, 1)"
+    )
 
 
-def _broken_transport_negative(bY, profile):
-    # the torus increment subtracted: both Salamon balances and chi_top(W) hold
-    scale = (profile.p - 1) * profile.t
-    return tuple(b - scale * s for b, s in zip(bY, (0, 0, *TORUS2_BETTI, 0, 0)))
-
-
-@pytest.mark.parametrize("pair, p, t", [((4, 32), 3, 3), ((40, 176), 13, 4)])
+@pytest.mark.parametrize("pair, p, t_max", [((4, 32), 3, 3), ((40, 176), 13, 4)])
 def test_transport_with_a_negative_slope_fails_the_betti_table_check(
-    monkeypatch, pair, p, t
+    monkeypatch, pair, p, t_max
 ):
-    # b(W) passes BettiTable at t = 0 and t = 1 and goes negative at t, past
-    # t_max: prove checks the slope, since nonnegativity is an inequality
+    # b(W) is a 4-fold's table at t = 0 and goes negative as t grows: the sign
+    # of the slope is checked, since nonnegativity is an inequality
     monkeypatch.setattr("hk4verify.pipeline.transport_betti", _broken_transport_negative)
-    with pytest.raises(VerificationError, match="has a negative entry") as exc:
-        prove(parse_candidates("b2,b3\n%d,%d\n" % pair), primes=(p,), t_max=0)
-    err = exc.value
-    assert (err.candidate, err.prime, err.t, err.identity) == (pair, p, t, "betti_W")
-
-
-def _broken_transport_chi(bY, profile):
-    b = list(bY)
-    b[0] += profile.t  # Salamon defect unchanged, chi_top(W) = t
-    return tuple(b)
+    with pytest.raises(VerificationError, match="^betti_W .* goes negative as t grows"):
+        prove(parse_candidates("b2,b3\n%d,%d\n" % pair), primes=(p,), t_max=t_max)
 
 
 @pytest.mark.parametrize(
-    "broken, message, identity",
-    [
-        (_broken_transport,
-         "transported Salamon defect nonzero for (4, 32), p=3, t=1: -10", "salamon_W"),
-        (_broken_transport_chi,
-         "chi_top(W) = 1 should vanish for (4, 32), p=3, t=1", "chi_top_W"),
-    ],
+    "broken, identity",
+    [(_broken_transport_salamon, "salamon_W"), (_broken_transport_chi, "chi_top_W")],
     ids=["salamon", "chi_top"],
 )
 def test_transport_broken_in_its_slope_fails_at_t_1_even_with_t_max_0(
-    monkeypatch, broken, message, identity
+    monkeypatch, broken, identity
 ):
+    # both breaks vanish at t = 0, and prove fails all the same
     monkeypatch.setattr("hk4verify.pipeline.transport_betti", broken)
-    with pytest.raises(VerificationError) as exc:
+    with pytest.raises(VerificationError, match=f"^{identity} fails on polynomials"):
         prove(parse_candidates("b2,b3\n23,0\n4,32\n"), primes=(3, 2), t_max=0)
-    assert str(exc.value) == message
-    err = exc.value
-    assert (err.candidate, err.prime, err.t, err.identity) == ((4, 32), 3, 1, identity)
 
 
 @pytest.mark.parametrize(
-    "broken, t, message",
-    [
-        # zero at t = 0 but slope 1: caught at t = 1 even when t_max = 0
-        (lambda pr: pr.t, 1, "fixed locus of 1 tori must have chi_top 0, got 1"),
-        (lambda pr: 5, 0, "fixed locus of 0 tori must have chi_top 0, got 5"),
-    ],
-    ids=["slope", "constant"],
+    "broken", [_broken_fixed_locus, lambda pr: 5], ids=["slope", "constant"]
 )
-def test_fixed_locus_identity_is_checked_as_affine_form_in_t(
-    monkeypatch, broken, t, message
-):
+def test_fixed_locus_identity_is_checked_as_affine_form_in_t(monkeypatch, broken):
+    # compared with m + 24k on polynomials, a t term fails as a constant does
     monkeypatch.setattr("hk4verify.pipeline.lefschetz_euler_fixed", broken)
-    with pytest.raises(VerificationError) as exc:
+    with pytest.raises(VerificationError, match="^chi_top_fixed_locus fails on poly"):
         prove(parse_candidates("b2,b3\n23,0\n"), primes=(5, 2), t_max=0)
-    assert str(exc.value) == message
-    err = exc.value
-    assert (err.candidate, err.prime, err.t, err.identity) == (
-        None, 5, t, "chi_top_fixed_locus",
-    )
 
 
 def test_broken_fixed_locus_fails_prove_on_a_file_without_pairs(monkeypatch):
-    # the fixed-locus identity is checked per prime, before the sweep
-    monkeypatch.setattr("hk4verify.pipeline.lefschetz_euler_fixed", _broken_fixed_locus)
+    # each prime's m and k are checked once, before the sweep, and the
+    # failure names the prime
+    monkeypatch.setattr("hk4verify.pipeline.solve_mk", lambda p: (0, int(p == 5)))
     with pytest.raises(VerificationError) as exc:
-        prove(parse_candidates("b2,b3\n"), primes=(2,), t_max=0)
+        prove(parse_candidates("b2,b3\n"), primes=(2, 5), t_max=0)
     err = exc.value
-    assert (err.candidate, err.prime, err.t, err.identity) == (
-        None, 2, 1, "chi_top_fixed_locus",
-    )
+    assert str(err) == "fixed locus of 0 points and 1 K3 surfaces must have chi_top 0, got 24"
+    assert vars(err) == dict(candidate=None, prime=5, t=None, identity="chi_top_fixed_locus")
+
+
+def test_prove_runs_the_formulas_once_per_call(monkeypatch):
+    # the same calls on the four LefschetzMismatch pairs of the fixture and on
+    # region3, which has Table1Exclusion runs too: none is made per candidate
+    calls = []
+    for name in ("transport_betti", "euler_characteristic"):
+        formula = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name, lambda *a, f=formula: calls.append(f) or f(*a))
+    counts = []
+    for cf in (builtin_candidates(), parse_candidates(_region_text(3))):
+        calls.clear()
+        exclusions = prove(cf).branch_counts()["Table1Exclusion"]
+        counts.append((exclusions > 0, sorted(f.__name__ for f in calls)))
+    once = ["euler_characteristic", "euler_characteristic", "transport_betti"]
+    assert counts == [(False, once), (True, once)]
 
 
 def test_lefschetz_certificates_of_one_candidate_and_prime_share_details():
