@@ -19,6 +19,8 @@ import re
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from types import MappingProxyType
+from typing import Mapping
 
 
 def int_sqrt_exact(n: int) -> int | None:
@@ -92,11 +94,18 @@ def format_rational(q: Fraction) -> str:
 
 class Poly:
     """An integer polynomial: ``terms`` maps each monomial, the sorted tuple of
-    its variables' names (``("q", "t")`` is q*t), to its nonzero coefficient.
-    +, - and * take Polys and ints, and == and != compare coefficients."""
+    its variables' names (``("q", "t")`` is q*t), to its nonzero coefficient,
+    read-only.  +, - and * take Polys and ints, and == and != compare
+    coefficients."""
 
-    def __init__(self, terms: dict[tuple[str, ...], int]) -> None:
-        self.terms = {e: c for e, c in terms.items() if c}
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms: Mapping[tuple[str, ...], int]) -> None:
+        self._terms = {e: c for e, c in terms.items() if c}
+
+    @property
+    def terms(self) -> Mapping[tuple[str, ...], int]:
+        return MappingProxyType(self._terms)
 
     @classmethod
     def var(cls, name: str) -> Poly:
@@ -107,13 +116,13 @@ class Poly:
         return x if isinstance(x, Poly) else Poly({(): x})
 
     def __add__(self, other: Poly | int) -> Poly:
-        terms = Counter(self.terms)
-        terms.update(Poly.of(other).terms)  # adds, unlike dict.update
+        terms = Counter(self._terms)
+        terms.update(Poly.of(other)._terms)  # adds, unlike dict.update
         return Poly(terms)
 
     def __mul__(self, other: Poly | int) -> Poly:
         terms: Counter[tuple[str, ...]] = Counter()
-        for (e, c), (f, d) in product(self.terms.items(), Poly.of(other).terms.items()):
+        for (e, c), (f, d) in product(self._terms.items(), Poly.of(other)._terms.items()):
             terms[tuple(sorted(e + f))] += c * d
         return Poly(terms)
 
@@ -123,7 +132,7 @@ class Poly:
     __rsub__ = lambda self, other: -self + other
 
     def __eq__(self, other: object) -> bool:  # object's != negates it
-        return isinstance(other, (Poly, int)) and self.terms == Poly.of(other).terms
+        return isinstance(other, (Poly, int)) and self._terms == Poly.of(other)._terms
 
     def __repr__(self) -> str:
-        return f"Poly({self.terms!r})"
+        return f"Poly({self._terms!r})"

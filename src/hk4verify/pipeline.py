@@ -46,11 +46,16 @@ t), the identities the sweep rests on, for all integers (chi_top(X) = c4, the
 Salamon balances, chi_top(W) and the fixed locus's chi_top), and that b(W) =
 b(X) + (p - 1)*t*c is a 4-fold's table at every t >= 0.  It builds each
 prime's m and k, whose fixed locus must have chi_top 0, and the values at
-c4(W) = 0.  Per (candidate, prime) the sweep holds the certificates as one
-run (``CertificateRun``; a certificate is a run of one t), verified once; a
-Table1Exclusion run keeps b(W) as the affine form (``AffineBetti``), and the
-LefschetzMismatch runs with equal chi_top(X) and p share one details object.
-``prove`` returns the runs as ``Certificates``, streamed by ``report_chunks``.
+c4(W) = 0.  The branch, the details of each prime and the hypotheses are
+functions of c4 = chi_top(X) alone, so the sweep builds them once per
+distinct c4 and holds one group per candidate (``_Group``) that shares them;
+a Table1Exclusion group adds b(X), the base of the affine form (``AffineBetti``)
+b(W) = b(X) + (p - 1)*t*c.  verify_certificate checks the runs of each c4's
+first candidate in file order, which stand for the runs of all its candidates.
+``prove`` returns the groups as ``Certificates``: ``runs`` gives one
+``CertificateRun`` per (candidate, prime), and iteration one per certificate
+(a run of one t).  ``report_chunks`` writes each group as one block from a
+template built once per c4 and range of t.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import partial
 from itertools import chain
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from ._version import __version__
@@ -177,9 +182,10 @@ class Branch(Enum):
 
 class AffineBetti(NamedTuple):
     """Betti numbers as an affine form in t: ``at(t)`` is ``base + slope*t``
-    entrywise."""
+    entrywise.  In the details a _Group shares, ``base`` is None and stands
+    for the group's ``base``."""
 
-    base: tuple[int, ...]
+    base: tuple[int, ...] | None
     slope: tuple[int, ...]
 
     def at(self, t: int) -> tuple[int, ...]:
@@ -205,16 +211,56 @@ class CertificateRun(NamedTuple):
         return self.ts.start
 
 
-class Certificates:
-    """The certificates of one prove call, held as ``runs``: ``len`` and
-    iteration give one per (run, t), in run order, as a run of that one t."""
+class _Group(NamedTuple):
+    """The certificates of one candidate: a run over ``ts`` for each prime of
+    ``primes``, with that prime's entry of ``details``.  prove's groups of one
+    c4 share ``details`` and ``hypotheses``.  An AffineBetti betti_W is read
+    as ``base + slope*t``: its slope from the details, ``base`` (b(X)) from the
+    group, since in shared details its base is None."""
 
-    def __init__(self, runs: Iterable[CertificateRun]) -> None:
-        self.runs = tuple(runs)
-        self._len = sum(len(run.ts) for run in self.runs)
+    candidate: tuple[int, int]
+    primes: tuple[int, ...]
+    ts: range
+    branch: Branch
+    details: tuple[dict[str, object], ...]
+    hypotheses: tuple[str, ...]
+    base: tuple[int, ...] | None = None
+
+    @classmethod
+    def of(cls, run: CertificateRun) -> _Group:
+        """``run`` as a group of one prime."""
+        candidate, p, ts, branch, details, hypotheses = run
+        form = details.get("betti_W")
+        base = form.base if isinstance(form, AffineBetti) else None
+        return cls(candidate, (p,), ts, branch, (details,), hypotheses, base)
+
+    def runs(self) -> Iterator[CertificateRun]:
+        """The group's runs, one per prime, in the order of ``primes``."""
+        for p, details in zip(self.primes, self.details):
+            if self.base is not None:
+                form = AffineBetti(self.base, details["betti_W"].slope)
+                details = {**details, "betti_W": form}
+            yield CertificateRun(self.candidate, p, self.ts, self.branch, details,
+                                 self.hypotheses)
+
+
+class Certificates:
+    """The certificates of one prove call, held per candidate; ``runs`` gives
+    them per (candidate, prime), and ``len`` and iteration one per (candidate,
+    prime, t), in sweep order, as a run of that one t.  ``Certificates(runs)``
+    holds each run as a group of one prime; prove passes its ``_groups``."""
+
+    def __init__(
+        self, runs: Iterable[CertificateRun] = (), *, _groups: Iterable[_Group] = ()
+    ) -> None:
+        self._groups = (*_groups, *map(_Group.of, runs))
+
+    @property
+    def runs(self) -> tuple[CertificateRun, ...]:
+        return tuple(chain.from_iterable(map(_Group.runs, self._groups)))
 
     def __len__(self) -> int:
-        return self._len
+        return sum(self.branch_counts().values())
 
     def __iter__(self) -> Iterator[CertificateRun]:
         make = CertificateRun._make  # tuple.__new__, without the keywords of __new__
@@ -229,7 +275,9 @@ class Certificates:
         """Certificates per branch, keyed by branch name in Branch order."""
         # compared by identity: hashing an Enum member runs Python code
         return {
-            branch.value: sum(len(run.ts) for run in self.runs if run.branch is branch)
+            branch.value: sum(
+                len(g.primes) * len(g.ts) for g in self._groups if g.branch is branch
+            )
             for branch in Branch
         }
 
@@ -425,10 +473,12 @@ def prove(
     """Replay the contradiction for every (valid candidate, prime, t) triple.
 
     Returns one certificate per triple, in sweep order (candidates in file
-    order, then primes, then t), held as runs.  verify_certificate reads only
-    the branch and details, which a run shares, so it checks each run once and
-    places a failure at the run's first t.  Raises VerificationError if any
-    triple fails to produce a contradiction or an internal identity breaks.
+    order, then primes, then t), held as one group per candidate.
+    verify_certificate reads only the branch and details, which the runs of
+    one c4 and prime share, so it checks the runs of each c4's first candidate
+    and places a failure at the run's first t, where a check of every run, in
+    sweep order, would.  Raises VerificationError if any triple fails to
+    produce a contradiction or an internal identity breaks.
     """
     if type(t_max) is not int or t_max < 0:
         raise ValueError(f"t_max must be a nonnegative int, got {t_max!r}")
@@ -450,19 +500,26 @@ def prove(
         "salamon_defect_W": 0, "c4_W": 0, "delta": d, "delta_sqrt": sqrt,
         "lambda_roots": tuple(sorted(roots)),
     }
-    classes: dict[tuple[int, int], dict[str, object]] = {}
     ts = range(t_max + 1)
-    runs: list[CertificateRun] = []
+    classes: dict[int, _Group] = {}  # the first group of each c4, in file order
+    groups: list[_Group] = []
     for b2, b3 in zip(candidates.b2s, candidates.b3s):
-        runs += _prove_candidate(b2, b3, ts, fixed, zero_W, classes, slope)
-    certificates = Certificates(runs)
+        admissible_b4(b2, b3)  # refuses the pairs betti_from_pair refuses
+        c4 = c4_from_betti(b2, b3)  # chi_top(X) = c4, checked on polynomials
+        base = None if c4 else betti_from_pair(b2, b3)  # b(W) = b(X) + (p - 1)*t*c
+        first = classes.get(c4)  # its branch, details and hypotheses are first[3:6]
+        shared = _class_of(c4, fixed, zero_W, slope) if first is None else first[3:6]
+        groups.append(_Group((b2, b3), primes, ts, *shared, base))
+        classes.setdefault(c4, groups[-1])
+    certificates = Certificates(_groups=groups)
     if len(certificates) != expected:
         raise VerificationError(
             f"expected {expected} certificates, produced {len(certificates)}",
             identity="certificate_count",
         )
-    for run in runs:
-        verify_certificate(run)
+    for first in classes.values():  # a c4's groups share all verify reads
+        for run in first.runs():
+            verify_certificate(run)
     return certificates
 
 
@@ -499,27 +556,23 @@ def _check_identities() -> tuple[int, ...]:
     return c
 
 
-def _prove_candidate(
-    b2: int, b3: int, ts: range, fixed: dict[int, dict[str, object]],
-    zero_W: dict[str, object], classes: dict[tuple[int, int], dict[str, object]],
+def _class_of(
+    c4: int, fixed: dict[int, dict[str, object]], zero_W: dict[str, object],
     slope: tuple[int, ...],
-) -> list[CertificateRun]:
-    """The runs of one candidate over ``ts``, one per prime of ``fixed`` (each
-    prime's details), with ``zero_W``, the values at c4(W) = 0, ``classes``,
-    the details shared by equal (chi_top(X), p), and _check_identities' c."""
-    bX = betti_from_pair(b2, b3)
-    chi_X = c4_from_betti(b2, b3)  # chi_top(X) = c4, checked on polynomials
-    out: list[CertificateRun] = []
-    for p, prime_details in fixed.items():
-        details = classes.setdefault((chi_X, p), {"chi_top_X": chi_X, **prime_details})
-        if chi_X != details["chi_top_fixed_locus"]:
-            branch, hypotheses = Branch.LEFSCHETZ_MISMATCH, _HYPOTHESES_COMMON
-        else:  # chi_top(X) = 0: through the quotient to W, with c4(W) = 0
-            branch, hypotheses = Branch.TABLE1_EXCLUSION, _HYPOTHESES_EXCLUSION
-            betti_W = AffineBetti(bX, tuple([(p - 1) * x for x in slope]))
-            details = {**details, "betti_W": betti_W, **zero_W}
-        out.append(CertificateRun((b2, b3), p, ts, branch, details, hypotheses))
-    return out
+) -> tuple[Branch, tuple[dict[str, object], ...], tuple[str, ...]]:
+    """The branch, the details per prime of ``fixed`` (each prime's details)
+    and the hypotheses of the candidates with chi_top(X) = ``c4``, with
+    ``zero_W``, the values at c4(W) = 0, and _check_identities' c."""
+    if c4 != 0:  # chi_top(X) != 0, the fixed locus's chi_top (_prime_details)
+        details = tuple([{"chi_top_X": c4, **d} for d in fixed.values()])
+        return Branch.LEFSCHETZ_MISMATCH, details, _HYPOTHESES_COMMON
+    # chi_top(X) = 0: through the quotient to W, with c4(W) = 0
+    forms = [AffineBetti(None, tuple([(p - 1) * x for x in slope])) for p in fixed]
+    details = tuple([
+        {"chi_top_X": 0, **d, "betti_W": form, **zero_W}
+        for d, form in zip(fixed.values(), forms)
+    ])
+    return Branch.TABLE1_EXCLUSION, details, _HYPOTHESES_EXCLUSION
 
 
 def _prime_details(p: int) -> dict[str, object]:
@@ -677,14 +730,12 @@ def _table_tail(
 
 
 #: One certificate, an item of the report's "certificates" array: the head
-#: (candidate, prime and the "t" key), t, and the tail (branch, details and
-#: hypotheses).  Head and tail are the same for every certificate of a run,
-#: except for the betti_W of an AffineBetti, which the tail holds as
+#: (the candidate), the prime and t, and the tail (branch, details and
+#: hypotheses).  The tail is the same for every certificate of a (candidate,
+#: prime), except for the betti_W of an AffineBetti, which the tail holds as
 #: _BETTI_W_SLOT and is split at; _BETTI_W_JSON fills in its value at each t.
-_CERT_HEAD_JSON = (
-    b'{\n      "candidate": [\n        %d,\n        %d\n      ],\n'
-    b'      "prime": %d,\n      "t": '
-)
+_CERT_HEAD_JSON = b'{\n      "candidate": [\n        %d,\n        %d\n      ],\n'
+_PRIME_T_JSON = b'      "prime": %d,\n      "t": %d'
 _BETTI_W_SLOT = "\x00betti_W"
 _BETTI_W_JSON = b"[" + b",".join([b"\n          %d"] * 9) + b"\n        ]"  # b0..b8
 _CHI_X_SLOT = "\x00chi_top_X"
@@ -713,34 +764,55 @@ def _json_tail(
 
 
 def _cert_rows(
-    runs: Iterable[CertificateRun], head: bytes,
+    groups: Iterable[_Group], head: bytes, prime_t: bytes,
     render_tail: Callable[[Branch, dict[str, object], tuple[str, ...]], list[bytes]],
 ) -> list[bytes]:
-    """The rows of every report format, as the pieces of each certificate of
-    ``runs``: ``head`` filled with (b2, b3, prime), t, and the run's tail, split
-    around the betti_W at t if in two.  A tail is rendered once per distinct
-    (branch, details, hypotheses) objects, keyed on ids: the runs keep them alive."""
-    t_texts: dict[range, list[bytes]] = {}
-    tails: dict[tuple[int, int, int], list[bytes]] = {}
+    """The rows of every report format, one block per group: each certificate
+    is ``head`` filled with the candidate, ``prime_t`` filled with (prime, t),
+    and the tail of the prime's details, split around b(W) at t if in two.
+    The block less its heads and b(W) texts is a _template, built once per
+    (branch, hypotheses, primes, ts, details) objects, keyed on ids: the
+    groups keep them alive.  One slice assignment fills in the heads."""
+    templates: dict[tuple, tuple[list[bytes], int, list[list[int]]]] = {}
+    texts: dict[tuple[int, range], list[bytes]] = {}  # of prime_t, per (prime, ts)
     rows: list[bytes] = []
-    for (b2, b3), p, ts, branch, details, hypotheses in runs:
-        key = (id(branch), id(details), id(hypotheses))
-        tail = tails.get(key)
-        if tail is None:
-            tail = tails[key] = render_tail(branch, details, hypotheses)
-        if ts not in t_texts:
-            t_texts[ts] = [b"%d" % t for t in ts]
-        run_head = head % (b2, b3, p)
-        if len(tail) == 1:
-            pieces = [run_head, b"", tail[0]] * len(ts)
-            pieces[1::3] = t_texts[ts]
-        else:
-            pre, post = tail
-            pieces = [run_head, b"", pre, b"", post] * len(ts)
-            pieces[1::5] = t_texts[ts]
-            pieces[3::5] = [_BETTI_W_JSON % details["betti_W"].at(t) for t in ts]
+    for g in groups:
+        key = (id(g.branch), id(g.hypotheses), g.primes, g.ts, *map(id, g.details))
+        if key not in templates:
+            templates[key] = _template(g, prime_t, render_tail, texts)
+        pieces, step, steps = templates[key]
+        start = len(rows)
         rows += pieces
+        rows[start::step] = [head % g.candidate] * (len(pieces) // step)
+        if steps:  # b(W) = b(X) + slope*t, column by column
+            columns = [map(b.__add__, column) for b, column in zip(g.base, steps)]
+            rows[start + 3::step] = map(_BETTI_W_JSON.__mod__, zip(*columns))
     return rows
+
+
+def _template(
+    g: _Group, prime_t: bytes,
+    render_tail: Callable[[Branch, dict[str, object], tuple[str, ...]], list[bytes]],
+    texts: dict[tuple[int, range], list[bytes]],
+) -> tuple[list[bytes], int, list[list[int]]]:
+    """The block of ``g`` with b"" for each head and b(W) text (see _cert_rows),
+    with primes in increasing order; the pieces per certificate; and, when the
+    tails are split around b(W), each column of slope*t in block order (else
+    no column)."""
+    pieces: list[bytes] = []
+    slopes: list[tuple[int, ...]] = []
+    for p, details in sorted(zip(g.primes, g.details), key=itemgetter(0)):
+        cert = [b"", b"", *render_tail(g.branch, details, g.hypotheses)]
+        if len(cert) == 4:  # a tail split around b(W)
+            cert.insert(3, b"")
+            slopes.append(details["betti_W"].slope)
+        if (p, g.ts) not in texts:
+            texts[p, g.ts] = [prime_t % (p, t) for t in g.ts]
+        run = cert * len(g.ts)
+        run[1::len(cert)] = texts[p, g.ts]
+        pieces += run
+    steps = [[x * t for x in column for t in g.ts] for column in zip(*slopes)]
+    return pieces, len(cert), steps
 
 
 def report_chunks(
@@ -749,21 +821,24 @@ def report_chunks(
     """Serialize the certificates of a prove call deterministically, as
     chunks of bytes whose concatenation is the report.
 
-    Certificates are sorted by (b2, b3, prime, t) by sorting the runs on
-    (candidate, prime, first t); rationals are rendered as `p/q` strings; the
-    tool version and the input-file digest are embedded.  Identical inputs
-    produce byte-identical output.  _cert_rows writes the rows of every format
-    here, so an unsupported ``fmt`` raises ValueError before any row, and so
-    does a csv ``input_digest`` holding `,`, `"`, "\\r" or "\\n" (csv cells are
-    never quoted); the chunks are joined as they are consumed.
+    Certificates are sorted by (b2, b3, prime, t) by sorting the groups on
+    (candidate, primes, first t) and each group's primes in _template;
+    rationals are rendered as `p/q` strings; the tool version and the
+    input-file digest are embedded.  Identical inputs produce byte-identical
+    output.  _cert_rows writes the rows of every format here, so an
+    unsupported ``fmt`` raises ValueError before any row, and so does a csv
+    ``input_digest`` holding `,`, `"`, "\\r" or "\\n" (csv cells are never
+    quoted); the chunks are joined as they are consumed.
     """
-    runs = sorted(certs.runs, key=lambda r: (r.candidate, r.prime, r.ts.start))
+    groups = sorted(certs._groups, key=lambda g: (g.candidate, g.primes, g.ts.start))
     if fmt == "json":
         payload = {
             "version": __version__,
             "input_digest": input_digest,
             "branch_counts": certs.branch_counts(),
-            "certificates": _cert_rows(runs, _CERT_HEAD_JSON, partial(_json_tail, {})),
+            "certificates": _cert_rows(
+                groups, _CERT_HEAD_JSON, _PRIME_T_JSON, partial(_json_tail, {})
+            ),
         }
         return _json_chunks(payload, "certificates")
     if fmt == "csv":
@@ -772,7 +847,7 @@ def report_chunks(
         header = _CERT_CSV_HEAD
         end = f",{__version__},{input_digest}\n"
         tail = partial(_table_tail, "", lambda cells: "," + ",".join(cells) + end)
-        rows = _cert_rows(runs, b"%d,%d,%d,", tail)
+        rows = _cert_rows(groups, b"%d,%d,", b"%d,%d", tail)
     elif fmt == "md":
         counts = certs.branch_counts()
         header = (
@@ -785,7 +860,7 @@ def report_chunks(
             + _CERT_MD_HEAD
         )
         tail = partial(_table_tail, "none", lambda cells: " " + _md_row(cells) + "\n")
-        rows = _cert_rows(runs, b"| %d | %d | %d | ", tail)
+        rows = _cert_rows(groups, b"| %d | %d | ", b"%d | %d", tail)
     else:
         raise ValueError(f"unsupported format: {fmt!r}")
     rows.insert(0, header.encode())

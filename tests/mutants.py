@@ -223,15 +223,57 @@ MUTANTS = [
     ),
     (
         "pipeline.py",
-        "classes.setdefault((chi_X, p), ",
-        "classes.setdefault(chi_X, ",
+        '{"chi_top_X": c4, **d} for d in fixed.values()',
+        '{"chi_top_X": c4, **fixed[min(fixed)]} for d in fixed.values()',
         "the details of one prime leak into another prime's runs with equal chi_top(X)",
     ),
     (
         "pipeline.py",
-        "key = (id(branch), id(details), id(hypotheses))",
-        "key = (id(branch), id(details))",
-        "the JSON tail key drops hypotheses",
+        "classes.setdefault(c4, groups[-1])",
+        "classes[c4] = groups[-1]",
+        "prove verifies each c4 on its last candidate in file order, not its first",
+    ),
+    (
+        "pipeline.py",
+        "        admissible_b4(b2, b3)  # refuses the pairs betti_from_pair refuses\n",
+        "",
+        "prove drops the input check of a candidate with c4 != 0",
+    ),
+    (
+        "pipeline.py",
+        "key = (id(g.branch), id(g.hypotheses), g.primes, g.ts, ",
+        "key = (id(g.branch), id(g.hypotheses), g.primes, ",
+        "the template key drops ts",
+    ),
+    (
+        "pipeline.py",
+        "key = (id(g.branch), id(g.hypotheses), g.primes, g.ts, ",
+        "key = (id(g.branch), id(g.hypotheses), g.ts, ",
+        "the template key drops the primes",
+    ),
+    (
+        "pipeline.py",
+        "g.primes, g.ts, *map(id, g.details))",
+        "g.primes, g.ts)",
+        "the template key drops its class, the details objects",
+    ),
+    (
+        "pipeline.py",
+        "texts[p, g.ts] = [prime_t % (p, t) for t in g.ts]",
+        "texts[p, g.ts] = [prime_t % (min(g.primes), t) for t in g.ts]",
+        "the prime and t texts are built without the prime",
+    ),
+    (
+        "pipeline.py",
+        "key=lambda g: (g.candidate, g.primes, g.ts.start)",
+        "key=lambda g: (g.candidate, g.ts.start)",
+        "the group sort ignores the prime",
+    ),
+    (
+        "pipeline.py",
+        "[[x * t for x in column for t in g.ts] for column in zip(*slopes)]",
+        "[[x * t for x in column for t in range(len(g.ts))] for column in zip(*slopes)]",
+        "the column-wise b(W) ignores ts.start",
     ),
     (
         "pipeline.py",
@@ -259,7 +301,7 @@ MUTANTS = [
     ),
     (
         "exact.py",
-        "isinstance(other, (Poly, int)) and self.terms == Poly.of(other).terms",
+        "isinstance(other, (Poly, int)) and self._terms == Poly.of(other)._terms",
         "True",
         "every Poly equals everything",
     ),
@@ -337,9 +379,9 @@ MUTANTS = [
     ),
     (
         "pipeline.py",
-        'b"%d,%d,%d,"',
-        'b"%d,%d,%d;"',
-        "the csv head ends its prime cell with ';'",
+        'b"%d,%d,", b"%d,%d"',
+        'b"%d,%d;", b"%d,%d"',
+        "the csv head ends its b3 cell with ';'",
     ),
     (
         "pipeline.py",

@@ -183,3 +183,16 @@ def test_poly_equality_and_inequality_agree():
     assert [a == b for a, b in cases] == [True] * 5 + [False] * 5 + [True] * 5
     for a, b in cases:
         assert (a != b) is (not (a == b)) and (b != a) is (not (b == a))
+
+
+def test_poly_terms_are_read_only():
+    # the package docstring promises immutable values; repr keeps its dict text
+    x = Poly.var("x") + 2
+    with pytest.raises(TypeError):
+        x.terms[("x",)] = 0
+    with pytest.raises(AttributeError):
+        x.terms = {}
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    assert x == Poly({("x",): 1, (): 2}) and dict(x.terms) == {("x",): 1, (): 2}
+    assert repr(x) == "Poly({('x',): 1, (): 2})"

@@ -466,21 +466,35 @@ def test_prove_lefschetz_only_sweep_builds_nothing_per_t():
 def test_prove_exclusion_only_sweep_builds_nothing_per_t(monkeypatch):
     built = []
 
-    def counted(*fields):  # one run per t fails here, long before memory runs out
-        built.append(fields[:3])
-        assert len(built) <= 4 * 6, built[-1]
-        return CertificateRun(*fields)
+    class Counted(pipeline._Group):
+        def __new__(cls, *fields):  # a group per t fails here, long before memory runs out
+            built.append(fields[:3])
+            assert len(built) <= 4, built[-1]
+            return super().__new__(cls, *fields)
 
-    monkeypatch.setattr(pipeline, "CertificateRun", counted)
+    monkeypatch.setattr(pipeline, "_Group", Counted)
     cf = parse_candidates("b2,b3\n" + "".join(f"{b2},{16 + 4 * b2}\n" for b2 in range(4)))
     started = time.perf_counter()
     certs = prove(cf, t_max=10**7)
     elapsed = time.perf_counter() - started
+    assert len(built) == 4  # one group per candidate
     assert len(certs.runs) == 4 * 6
     assert certs.branch_counts() == {
         "LefschetzMismatch": 0, "Table1Exclusion": 4 * 6 * (10**7 + 1),
     }
     assert elapsed < 0.5, elapsed
+
+
+@pytest.mark.parametrize("pair", [(0, 48), (5, 3), (-1, 0), (2.0, 0), (-1, 12)])
+def test_prove_refuses_an_inadmissible_pair_of_a_hand_built_file(pair):
+    # the parser flags these rows, so only a CandidateFile built by hand holds
+    # them; (-1, 12) has c4 = 0, the others c4 != 0
+    cf = builtin_candidates()._replace(b2s=(23, pair[0]), b3s=(0, pair[1]))
+    with pytest.raises(InadmissiblePairError) as exc:
+        betti_from_pair(*pair)
+    with pytest.raises(InadmissiblePairError) as refused:
+        prove(cf, primes=(2,), t_max=0)
+    assert str(refused.value) == str(exc.value)
 
 
 def test_prove_exclusion_betti_w_is_the_transport_at_each_t():
@@ -770,17 +784,17 @@ def test_certificates_sequence_matches_the_per_triple_sweep():
 
 
 def test_lefschetz_run_with_zero_chi_top_x_fails_at_its_first_t(monkeypatch):
-    # one tampered details object is shared by the 4 certificates of the run
-    real = pipeline._prove_candidate
+    # one tampered details object per prime is shared by every candidate of
+    # a c4 and by the 4 certificates of each of their runs
+    real = pipeline._class_of
 
     def tampered(*args):
-        return [
-            run._replace(details={**run.details, "chi_top_X": 0})
-            if run.branch is Branch.LEFSCHETZ_MISMATCH else run
-            for run in real(*args)
-        ]
+        branch, details, hypotheses = real(*args)
+        if branch is Branch.LEFSCHETZ_MISMATCH:
+            details = tuple({**d, "chi_top_X": 0} for d in details)
+        return branch, details, hypotheses
 
-    monkeypatch.setattr(pipeline, "_prove_candidate", tampered)
+    monkeypatch.setattr(pipeline, "_class_of", tampered)
     with pytest.raises(VerificationError) as exc:
         _b2_le_3_runs()
     err = exc.value
@@ -800,6 +814,18 @@ def test_zero_chi_w_with_rational_roots_fails_at_its_first_t(monkeypatch):
     assert (err.candidate, err.prime, err.t, err.identity) == (
         (4, 32), 3, 0, "zero_chi_W",
     )
+    assert str(err) == "Table1Exclusion but chi = 0 is rationally solvable at c4 = 0"
+
+
+def test_zero_chi_w_failure_names_the_first_c4_zero_candidate_in_file_order(monkeypatch):
+    # prove checks each c4's shared details once, on its first candidate in
+    # file order, which places a failure where a check of every run would
+    monkeypatch.setattr("hk4verify.pipeline.admits_zero_chi", lambda c4: {F(-1, 2)})
+    cf = parse_candidates("b2,b3\n23,0\n5,36\n7,8\n4,32\n")
+    with pytest.raises(VerificationError) as exc:
+        prove(cf, primes=(5, 2, 3), t_max=2)
+    err = exc.value
+    assert (err.candidate, err.prime, err.t, err.identity) == ((5, 36), 5, 0, "zero_chi_W")
     assert str(err) == "Table1Exclusion but chi = 0 is rationally solvable at c4 = 0"
 
 
@@ -1080,10 +1106,24 @@ def test_emit_report_csv_refuses_a_digest_it_would_have_to_quote(digest):
         report_chunks(certs, "csv", input_digest=digest)
 
 
+#: region3 with two more c4 = 0 pairs ahead of it, out of sorted order
+_REGION3_AND_C4_ZERO = "b2,b3\n5,36\n4,32\n" + _region_text(3).removeprefix("b2,b3\n")
+
+
+def _same_reports(cf, *values):
+    for fmt in ("json", "csv", "md"):
+        first, *rest = (emit_report(v, fmt, input_digest=cf.digest) for v in values)
+        assert all(blob == first for blob in rest), fmt
+
+
 def test_emit_report_same_bytes_for_shared_and_copied_details():
-    # the copies are one run per certificate, each with its own details
-    cf = parse_candidates("b2,b3\n23,0\n4,32\n7,8\n")
-    certs = prove(cf, primes=(2, 3), t_max=3)
+    # prove's groups, their runs, the runs split at t = 2, the certificates
+    # (a single-t run each), and copies with a details object each
+    cf = parse_candidates(_REGION3_AND_C4_ZERO)
+    certs = prove(cf, primes=(5, 2, 3), t_max=3)
+    split = Certificates(
+        run._replace(ts=ts) for run in certs.runs for ts in (run.ts[:2], run.ts[2:])
+    )
     copies = Certificates(
         CertificateRun(
             c.candidate, c.prime, range(c.t, c.t + 1), c.branch, dict(c.details),
@@ -1091,23 +1131,22 @@ def test_emit_report_same_bytes_for_shared_and_copied_details():
         )
         for c in certs
     )
-    assert len(certs.runs) < len(copies.runs) == len(certs)
+    assert len(certs.runs) == 128 * 3 < len(split.runs) < len(copies.runs) == len(certs)
+    assert certs.branch_counts() == copies.branch_counts() == {
+        "LefschetzMismatch": 122 * 3 * 4, "Table1Exclusion": 6 * 3 * 4,
+    }
     assert len({id(c.details) for c in certs}) < len({id(c.details) for c in copies})
-    for fmt in ("json", "csv", "md"):
-        assert emit_report(certs, fmt, input_digest=cf.digest) == emit_report(
-            copies, fmt, input_digest=cf.digest
-        )
+    _same_reports(cf, certs, Certificates(certs.runs), split, Certificates(iter(certs)),
+                  copies)
 
 
 def test_emit_report_same_bytes_for_any_prime_order():
-    cf = parse_candidates("b2,b3\n23,0\n4,32\n7,8\n")
-    shuffled = prove(cf, primes=(5, 2, 3), t_max=2)
-    ordered = prove(cf, primes=(2, 3, 5), t_max=2)
+    cf = parse_candidates(_REGION3_AND_C4_ZERO)
+    shuffled = prove(cf, primes=(5, 2, 3), t_max=3)
+    ordered = prove(cf, primes=(2, 3, 5), t_max=3)
     assert [run.prime for run in shuffled.runs][:3] == [5, 2, 3]
-    for fmt in ("json", "csv", "md"):
-        assert emit_report(shuffled, fmt, input_digest=cf.digest) == emit_report(
-            ordered, fmt, input_digest=cf.digest
-        )
+    _same_reports(cf, shuffled, ordered, Certificates(shuffled.runs),
+                  Certificates(iter(shuffled)))
 
 
 def test_emit_report_json_tail_follows_branch_details_and_hypotheses():
@@ -1125,6 +1164,19 @@ def test_emit_report_json_tail_follows_branch_details_and_hypotheses():
         ("Table1Exclusion", list(run.hypotheses)),
     ]
     assert all(c["details"]["chi_top_X"] == 324 for c in data["certificates"])
+
+
+def test_emit_report_rows_follow_the_prime_and_ts_of_runs_sharing_details():
+    # four runs share one details object; each keeps its own prime and ts
+    (run,) = prove(parse_candidates("b2,b3\n23,0\n"), primes=(2,), t_max=0).runs
+    certs = Certificates([
+        run._replace(prime=5), run, run._replace(ts=range(1, 3)), run._replace(prime=3),
+    ])
+    lines = emit_report(certs, "csv").decode().splitlines()[1:]
+    assert [line.split(",")[:4] for line in lines] == [
+        ["23", "0", "2", "0"], ["23", "0", "2", "1"], ["23", "0", "2", "2"],
+        ["23", "0", "3", "0"], ["23", "0", "5", "0"],
+    ]
 
 
 def test_emit_filter_report_layout_and_digest_on_flagged_rows():

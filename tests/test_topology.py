@@ -76,6 +76,24 @@ def test_betti_from_pair_rejects():
         betti_from_pair(-1, 0)
 
 
+def test_admissible_b4_refuses_exactly_the_pairs_betti_from_pair_refuses():
+    # prove checks a candidate with c4 != 0 by admissible_b4 alone; the
+    # rectangle holds negative values, odd b3 and pairs that force b4 < 0
+    refused = 0
+    for b2 in range(-3, 9):
+        for b3 in range(-5, 140):
+            try:
+                table = betti_from_pair(b2, b3)
+            except InadmissiblePairError as exc:
+                refused += 1
+                with pytest.raises(InadmissiblePairError) as same:
+                    admissible_b4(b2, b3)
+                assert str(same.value) == str(exc)
+            else:
+                assert admissible_b4(b2, b3) == table[4]
+    assert 0 < refused < 12 * 145
+
+
 def test_betti_from_pair_output_is_strict():
     for b2, b3 in [(23, 0), (7, 8), (6, 4), (5, 0), (0, 0), (4, 32)]:
         bt = betti_from_pair(b2, b3)
