@@ -12,25 +12,17 @@ import sys
 import time
 
 from ._version import __version__
-from .exact import format_rational, parse_int, parse_rational
-from .pipeline import (
-    CandidateFile,
+from .candidates import (
     DEFAULT_PRIMES,
     DEFAULT_T_MAX,
+    CandidateFile,
     VerificationError,
     builtin_candidates,
     filter_report_chunks,
     load_candidates,
-    prove,
-    report_chunks,
     table1,
 )
-from .quotient import (
-    FixedLocusProfile,
-    lefschetz_euler_fixed,
-    orbifold_salamon_defect,
-    transport_betti,
-)
+from .exact import format_rational, parse_int, parse_rational
 from .riemann_roch import rr_chi_hk, zero_chi
 from .topology import BettiTable, betti_from_pair, euler_characteristic, salamon_defect
 
@@ -104,6 +96,8 @@ def _cmd_filter(args: argparse.Namespace) -> int:
 
 
 def _cmd_prove(args: argparse.Namespace) -> int:
+    from .pipeline import prove, report_chunks  # only prove imports the sweep
+
     cf = _candidates(args)
     _warn_invalid(cf)
     started = time.perf_counter()
@@ -137,6 +131,13 @@ def _cmd_rr(args: argparse.Namespace) -> int:
 
 
 def _cmd_transport(args: argparse.Namespace) -> int:
+    from .quotient import (
+        FixedLocusProfile,
+        lefschetz_euler_fixed,
+        orbifold_salamon_defect,
+        transport_betti,
+    )
+
     if len(args.betti) != 2:
         raise CLIError(f"--betti expects 'b2,b3', got {len(args.betti)} integers")
     b2, b3 = args.betti

@@ -29,10 +29,12 @@ read it.  In the same terms chi = 3 + u * lambda * (lambda + 4) / 3456
 (rr_chi_hk).
 
 Everything a CandidateRecord holds besides b2 and b3 is therefore a function
-of c4 alone, and many pairs share a c4 (105,324 admissible pairs with
-b2 <= 200 have 1,024 values).  The filter report (pipeline.filter_report_chunks)
-relies on this: it calls evaluate_candidate once per distinct c4 and writes
-that record's values for every pair with the same c4.
+of c4 alone (filter_c4), and many pairs share a c4 (105,324 admissible pairs
+with b2 <= 200 have 1,024 values).  The filter report and table1
+(candidates.filter_report_chunks and table1) rely on this: they call filter_c4
+once per distinct c4, on c4 alone, and write its values for every pair with
+that c4.  filter_c4 checks its values as a CandidateRecord checks its fields
+(_check_filter_values).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .exact import int_sqrt_exact
-from .topology import ChernData, chern_from_betti
+from .topology import ChernData, chern_from_betti, chern_from_c4
 
 #: 864^2, the denominator of delta over its integer numerator N.
 _DELTA_DENOMINATOR = 864 * 864
@@ -65,11 +67,20 @@ class CandidateRecord(_CandidateRecord):
 
     def __new__(cls, *args: object, **kwargs: object) -> CandidateRecord:
         self = super().__new__(cls, *args, **kwargs)
-        if self.accepted != bool(self.lambda_roots):
-            raise ValueError("accepted must mirror root-set nonemptiness")
-        if self.delta_sqrt is not None and self.delta_sqrt**2 != self.delta:
-            raise ValueError("delta_sqrt does not square to delta")
+        _check_filter_values(*self[3:])
         return self
+
+
+def _check_filter_values(
+    delta: Fraction, delta_sqrt: Fraction | None, lambda_roots: frozenset[Fraction],
+    accepted: bool,
+) -> None:
+    """The checks on a CandidateRecord's fields past its Chern data, and on
+    filter_c4's values: accepted mirrors the roots, delta_sqrt squares to delta."""
+    if accepted != bool(lambda_roots):
+        raise ValueError("accepted must mirror root-set nonemptiness")
+    if delta_sqrt is not None and delta_sqrt**2 != delta:
+        raise ValueError("delta_sqrt does not square to delta")
 
 
 def rr_chi_hk(c4: int, lam: Fraction) -> Fraction:
@@ -115,19 +126,21 @@ def admits_zero_chi(c4: int) -> set[Fraction]:
     return zero_chi(c4)[2]
 
 
+def filter_c4(c4: int) -> tuple[
+    ChernData, Fraction, Fraction | None, frozenset[Fraction], bool
+]:
+    """The fields of the CandidateRecord of any pair with this c4 past b2 and
+    b3, (chern, delta, delta_sqrt, lambda_roots, accepted), checked as
+    CandidateRecord checks them."""
+    d, sqrt, roots = zero_chi(c4)
+    values = (d, sqrt, frozenset(roots), bool(roots))
+    _check_filter_values(*values)
+    return (chern_from_c4(c4), *values)
+
+
 def evaluate_candidate(b2: int, b3: int) -> CandidateRecord:
     """Run the full filter on one nonnegative (b2, b3) pair."""
-    chern = chern_from_betti(b2, b3)
-    d, sqrt, roots = zero_chi(chern.c4)
-    return CandidateRecord(
-        b2=b2,
-        b3=b3,
-        chern=chern,
-        delta=d,
-        delta_sqrt=sqrt,
-        lambda_roots=frozenset(roots),
-        accepted=bool(roots),
-    )
+    return CandidateRecord(b2, b3, *filter_c4(chern_from_betti(b2, b3).c4))
 
 
 def filter_candidates(pairs: list[tuple[int, int]]) -> list[CandidateRecord]:

@@ -64,7 +64,7 @@ def chern_from_betti(b2: int, b3: int) -> ChernData:
     numbers:
 
         c4    = 48 + 12*b2 - 3*b3      (c4_from_betti)
-        c2sq  = (c4 + 2160) / 3 = 736 + 4*b2 - b3
+        c2sq  = (c4 + 2160) / 3 = 736 + 4*b2 - b3    (chern_from_c4)
 
     Total on nonnegative int pairs even when the result is geometrically
     unrealizable (c4 may come out negative), so candidate sweeps never crash
@@ -74,7 +74,11 @@ def chern_from_betti(b2: int, b3: int) -> ChernData:
         raise ValueError(f"Betti numbers must be int, got ({b2!r}, {b3!r})")
     if b2 < 0 or b3 < 0:
         raise ValueError(f"Betti numbers must be nonnegative, got ({b2}, {b3})")
-    c4 = c4_from_betti(b2, b3)
+    return chern_from_c4(c4_from_betti(b2, b3))
+
+
+def chern_from_c4(c4: int) -> ChernData:
+    """Both Chern numbers of a hyperkahler 4-fold from c4, by 3*c2sq - c4 = 2160."""
     return ChernData(c2sq=(c4 + 2160) // 3, c4=c4)
 
 

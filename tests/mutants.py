@@ -102,8 +102,8 @@ MUTANTS = [
     ),
     (
         "riemann_roch.py",
-        "        if self.accepted != bool(self.lambda_roots):\n"
-        '            raise ValueError("accepted must mirror root-set nonemptiness")\n',
+        "    if accepted != bool(lambda_roots):\n"
+        '        raise ValueError("accepted must mirror root-set nonemptiness")\n',
         "",
         "CandidateRecord drops the accepted-mirrors-roots check",
     ),
@@ -114,13 +114,13 @@ MUTANTS = [
         "Miller-Rabin drops base 41",
     ),
     (
-        "pipeline.py",
+        "candidates.py",
         "parts[start:start + _CHUNK_PIECES]",
         "parts[start:start + _CHUNK_PIECES - 1]",
         "a report chunk drops the last piece before its boundary",
     ),
     (
-        "pipeline.py",
+        "candidates.py",
         "parts[start:start + _CHUNK_PIECES]",
         "parts[start:start + _CHUNK_PIECES + 1]",
         "a report chunk repeats the first piece after its boundary",
@@ -150,7 +150,7 @@ MUTANTS = [
         "a negative list such as -1,0 is taken for an option string",
     ),
     (
-        "pipeline.py",
+        "candidates.py",
         "            if first != lineno:\n"
         "                flagged.append(CandidateRow(lineno, b2, b3, "
         'f"duplicate of line {first}"))\n'
@@ -159,44 +159,50 @@ MUTANTS = [
         "parse_candidates drops the duplicate-row check",
     ),
     (
-        "pipeline.py",
+        "candidates.py",
         " or body.translate(_DROP_DIGITS) != \",\\n\" * body.count(\"\\n\"):",
         ":",
         "the bulk reader drops its digit-deletion check, so JSON reads blanks and CR",
     ),
     (
-        "pipeline.py",
+        "candidates.py",
         'if body[-1:] != "\\n" or ',
         "if ",
         "the bulk reader reads a last line with no LF",
     ),
     (
-        "pipeline.py",
+        "candidates.py",
         "    if len(set(lines)) != len(lines):  # one spelling per pair, so a duplicate\n"
         "        return None\n",
         "",
         "the bulk reader drops the line-set duplicate check",
     ),
     (
-        "pipeline.py",
+        "candidates.py",
         "        for b3 in set(b3s):\n            admissible_b4(top, b3)\n",
         "",
         "the bulk reader asks admissible_b4 about no b3, so an odd b3 passes",
     ),
     (
-        "pipeline.py",
+        "candidates.py",
         "admissible_b4(top, b3)",
         "admissible_b4(0, b3)",
         "the bulk reader asks about each b3 at b2 = 0, so b3 > 46 leaves the bulk path",
     ),
     (
-        "pipeline.py",
-        "least = b4s.index(min(b4s))",
-        "least = b4s.index(max(b4s))",
+        "candidates.py",
+        "if min(map(sub, map(base.__getitem__, b2s), b3s)) < 0:",
+        "if max(map(sub, map(base.__getitem__, b2s), b3s)) < 0:",
         "the bulk reader checks the pair with the largest forced b4, not the least",
     ),
     (
-        "pipeline.py",
+        "candidates.py",
+        "map(base.__getitem__, b2s), b3s)) < 0:",
+        "map(base.__getitem__, b2s), b3s)) < -2:",
+        "the bulk reader reads a pair that forces b4 = -2 (b4 is even)",
+    ),
+    (
+        "candidates.py",
         "range(first, first + len(b2s))",
         "range(first + 1, first + 1 + len(b2s))",
         "the bulk reader numbers its rows from one line too late",
@@ -312,19 +318,50 @@ MUTANTS = [
         "Poly keeps zero coefficients, so x - x != 0",
     ),
     (
-        "pipeline.py",
-        "c4s = list(map(c4_from_betti, b2s, b3s))",
-        "c4s = [c4 % 7 for c4 in map(c4_from_betti, b2s, b3s)]",
+        "candidates.py",
+        "    c4s = list(map(add, map(at_b2.__getitem__, b2s), map(at_b3.__getitem__, b3s)))\n",
+        "    c4s = [c4 % 7 for c4 in map(add, map(at_b2.__getitem__, b2s), "
+        "map(at_b3.__getitem__, b3s))]\n",
         "_per_c4 keys its memo on c4 % 7",
     ),
     (
-        "pipeline.py",
+        "candidates.py",
+        "c4_from_betti(0, b3) - c4_from_betti(0, 0) for b3",
+        "c4_from_betti(0, b3) for b3",
+        "the affine c4 split counts the constant term twice",
+    ),
+    (
+        "candidates.py",
+        "at_b2 = {b2: c4_from_betti(b2, 0) for b2",
+        "at_b2 = {b2: c4_from_betti(b2, 2) for b2",
+        "the affine c4 split reads b2's term at b3 = 2",
+    ),
+    (
+        "riemann_roch.py",
+        "    _check_filter_values(*values)\n",
+        "",
+        "filter_c4 drops CandidateRecord's checks on a c4 class",
+    ),
+    (
+        "riemann_roch.py",
+        "    if delta_sqrt is not None and delta_sqrt**2 != delta:\n",
+        "    if False:\n",
+        "the shared check drops delta_sqrt**2 == delta",
+    ),
+    (
+        "topology.py",
+        "ChernData(c2sq=(c4 + 2160) // 3, c4=c4)",
+        "ChernData(c2sq=(c4 + 2159) // 3, c4=c4)",
+        "chern_from_c4: 2160 -> 2159",
+    ),
+    (
+        "candidates.py",
         "        return format_rational(value)\n",
         "        return str(value)\n",
         "a report Fraction is written by str, so an integer one loses its /1",
     ),
     (
-        "pipeline.py",
+        "candidates.py",
         '"," + _json_block(value, "    ")[1:]',
         '"," + _json_block(value, "    ")[0:]',
         "an item tail keeps its block's opening brace",
@@ -348,7 +385,7 @@ MUTANTS = [
         "the JSON tail shape key ignores the details values",
     ),
     (
-        "pipeline.py",
+        "candidates.py",
         "    records[::3] = map(heads.__getitem__, b2s)\n"
         "    records[1::3] = map(b3_texts.__getitem__, b3s)\n"
         "    records[2::3] = _per_c4(",
@@ -358,7 +395,7 @@ MUTANTS = [
         "a filter record writes its tail before its head",
     ),
     (
-        "pipeline.py",
+        "candidates.py",
         "    records[::3] = map(heads.__getitem__, b2s)\n"
         "    records[1::3] = map(b3_texts.__getitem__, b3s)\n",
         "    records[1::3] = map(heads.__getitem__, b2s)\n"
@@ -372,9 +409,9 @@ MUTANTS = [
         "prove sweeps (b3, b2) for each pair (b2, b3)",
     ),
     (
-        "pipeline.py",
-        "shape = (r.delta_sqrt is None, len(roots), r.accepted)",
-        "shape = (len(roots), r.accepted)",
+        "candidates.py",
+        "shape = (delta_sqrt is None, len(roots), accepted)",
+        "shape = (len(roots), accepted)",
         "the filter tail shape ignores whether delta_sqrt is None",
     ),
     (
@@ -396,13 +433,13 @@ MUTANTS = [
         "the markdown certificate header right-aligns the branch column",
     ),
     (
-        "pipeline.py",
+        "candidates.py",
         '"%d,%d,%d,%d,%d\\n"',
         '"%d,%d,%d,%d;%d\\n"',
         "a table1 csv row joins b2 and b3 with ';'",
     ),
     (
-        "pipeline.py",
+        "candidates.py",
         "accepted.sort(reverse=True)",
         "accepted.sort()",
         "table1 sorts by increasing b2 and b3",

@@ -289,13 +289,12 @@ def test_filter_summary_counts_flagged_rows(tmp_path, capsys):
 
 
 def test_verification_failure_exits_2(tmp_path, monkeypatch, capsys):
-    import hk4verify.cli as cli_mod
     from hk4verify.pipeline import VerificationError
 
     def broken(*args, **kwargs):
         raise VerificationError("forced failure")
 
-    monkeypatch.setattr(cli_mod, "prove", broken)
+    monkeypatch.setattr("hk4verify.pipeline.prove", broken)  # prove imports it per call
     assert main(["prove", "--out", str(tmp_path / "x.json")]) == 2
     assert "verification failed" in capsys.readouterr().err
     monkeypatch.undo()
@@ -396,6 +395,47 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
         check=True,
     )
     assert result.stdout == "[]\n"
+
+
+def test_filter_and_table1_import_neither_the_sweep_nor_quotient(tmp_path):
+    # filter and table1 import hk4verify.candidates; only prove imports the
+    # sweep, and only prove and transport import quotient
+    out = tmp_path / "r.json"
+    code = (
+        "import sys, hk4verify.cli as cli; "
+        "names = {'hk4verify.pipeline', 'hk4verify.quotient'}; "
+        "seen = [sorted(names & sys.modules.keys())]; "
+        f"cli.main(['filter', '--out', {str(out)!r}]); "
+        "cli.main(['table1', '--format', 'json']); "
+        "seen.append(sorted(names & sys.modules.keys())); "
+        f"cli.main(['prove', '--t-max', '0', '--out', {str(out)!r}]); "
+        "seen.append(sorted(names & sys.modules.keys())); "
+        "print(seen, file=sys.stderr)"
+    )
+    src = Path(hk4verify.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    both = ["hk4verify.pipeline", "hk4verify.quotient"]
+    assert result.stderr == f"{[[], [], both]}\n"
+
+
+def test_readme_pipeline_names_are_the_candidates_objects():
+    from hk4verify import candidates, pipeline
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = set(re.findall(r"`pipeline\.(\w+)", readme))
+    moved = {name for name in named if hasattr(candidates, name)}
+    assert {"parse_candidates", "table1"} <= moved
+    for name in named:
+        assert hasattr(pipeline, name), name
+    for name in moved | {"load_candidates", "filter_report_chunks", "emit_filter_report",
+                         "CandidateFile", "CandidateRow", "VerificationError"}:
+        assert getattr(pipeline, name) is getattr(candidates, name), name
 
 
 @pytest.mark.parametrize("command", ["table1", "filter", "prove"])

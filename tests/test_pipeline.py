@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hk4verify import pipeline, quotient
+from hk4verify import candidates, pipeline, quotient, riemann_roch
 from hk4verify._version import __version__
 from hk4verify.pipeline import (
     Branch,
@@ -230,9 +230,9 @@ def test_plain_body_reads_like_the_token_split_reference(rows, kind, i, preamble
     perturb(rows, i)
     text = preamble + "b2,b3\n" + "".join(row + "\n" for row in rows)
     calls = []
-    read_rows = pipeline._read_rows
+    read_rows = candidates._read_rows
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline, "_read_rows", lambda *a: calls.append(a) or read_rows(*a))
+        mp.setattr(candidates, "_read_rows", lambda *a: calls.append(a) or read_rows(*a))
         if kind == "over-long field":
             line = preamble.count("\n") + 2 + i
             with pytest.raises(CandidateFormatError, match=f"^<memory>:{line}: integer"):
@@ -267,9 +267,9 @@ def test_a_plain_row_is_a_row(body):
     # the bulk reader accepts a body only when it is one or more lines, each a
     # row that _ROW_RE reads, spelled with no blank, sign or leading zero, and
     # an LF, and no row is flagged
-    columns = pipeline._read_plain_body(body)
+    columns = candidates._read_plain_body(body)
     lines = body.split("\n")[:-1]
-    matches = [pipeline._ROW_RE.fullmatch(line) for line in lines]
+    matches = [candidates._ROW_RE.fullmatch(line) for line in lines]
     plain = body.endswith("\n") and all(
         match and f"{match[1]},{match[2]}" == line
         and not re.search(r"(^|,)0[0-9]|[+-]", line)
@@ -303,15 +303,15 @@ def test_plain_body_lines_count_the_preamble():
 )
 def test_plain_body_is_read_into_columns(monkeypatch, body, b2s, b3s):
     # each body is read in bulk, without the per-line reader
-    read_rows = pipeline._read_rows
-    monkeypatch.setattr(pipeline, "_read_rows", lambda *a: pytest.fail("read per line"))
+    read_rows = candidates._read_rows
+    monkeypatch.setattr(candidates, "_read_rows", lambda *a: pytest.fail("read per line"))
     cf = parse_candidates("b2,b3\n" + body)
     assert (cf.b2s, cf.b3s, cf.flagged) == (b2s, b3s, ())
     assert cf.pairs == tuple(zip(b2s, b3s)) and cf.pair_lines == tuple(range(2, 2 + len(b2s)))
     # a leading zero on a row sends the body to the per-line reader, which
     # reads the same CandidateFile
     calls = []
-    monkeypatch.setattr(pipeline, "_read_rows", lambda *a: calls.append(a) or read_rows(*a))
+    monkeypatch.setattr(candidates, "_read_rows", lambda *a: calls.append(a) or read_rows(*a))
     zeros = parse_candidates("b2,b3\n" + body.replace("\n", "\n0", 1))
     assert len(calls) == 1 and zeros._replace(digest=cf.digest) == cf
 
@@ -1237,9 +1237,9 @@ def test_reports_encode_once_per_shape_not_per_value(monkeypatch):
     # c4 values nor of candidates: 39 and 174 c4 values for the filter, and
     # 4 + 1 and 126 candidates, both with both branches, for prove
     calls = []
-    encode = pipeline._ENCODER.encode
+    encode = candidates._ENCODER.encode
     monkeypatch.setattr(
-        pipeline._ENCODER, "encode", lambda value: calls.append(value) or encode(value)
+        candidates._ENCODER, "encode", lambda value: calls.append(value) or encode(value)
     )
 
     def count(report):
@@ -1252,7 +1252,7 @@ def test_reports_encode_once_per_shape_not_per_value(monkeypatch):
     assert count(lambda: emit_filter_report(small)) == count(
         lambda: emit_filter_report(large)
     )
-    fixture = parse_candidates(pipeline.TABLE1_FIXTURE + "4,32\n")  # and c4 = 0
+    fixture = parse_candidates(candidates.TABLE1_FIXTURE + "4,32\n")  # and c4 = 0
 
     def prove_json(cf):
         return lambda: emit_report(prove(cf, primes=(2, 3), t_max=1), "json")
@@ -1326,3 +1326,25 @@ def test_emit_filter_report():
     assert accepted["lambda_roots"] == ["-12/5", "-8/5"]
     (invalid,) = data["invalid_rows"]
     assert invalid["line"] == 4
+
+
+def test_filter_checks_each_c4_class_as_candidate_record_does(monkeypatch):
+    # filter_c4 runs CandidateRecord's checks on the values of each c4 class
+    zero_chi = riemann_roch.zero_chi
+
+    def off(c4):
+        d, sqrt, roots = zero_chi(c4)
+        return d, (None if sqrt is None else sqrt + 1), roots
+
+    monkeypatch.setattr(riemann_roch, "zero_chi", off)
+    cf = parse_candidates(FOUR_PAIRS)
+    for report in (lambda: emit_filter_report(cf), lambda: table1(cf, "csv")):
+        with pytest.raises(ValueError, match="delta_sqrt does not square to delta"):
+            report()
+
+
+def test_filter_c4_column_is_c4_from_betti():
+    # the c4 column comes from an affine split over the distinct b2 and b3
+    cf = parse_candidates(_region_text(12))
+    c4s = list(candidates._per_c4(cf.b2s, cf.b3s, lambda values: values[0].c4))
+    assert c4s == list(map(c4_from_betti, cf.b2s, cf.b3s))
