@@ -26,8 +26,9 @@ and b3s, with the line of each, and the flagged rows.
 The filter and table1
 ---------------------
 Past b2 and b3, a pair's filter outcome is a function of c4 alone
-(riemann_roch.filter_c4), so both evaluate each distinct c4 once and the
-pairs with that c4 share the result.
+(riemann_roch.filter_c4), so both read the column c4/3 of the pairs
+(_c4_thirds), evaluate each distinct c4 once, on integers, and the pairs
+with that c4 share the result.
 
 The ``filter`` and ``table1`` commands import this module and not
 ``pipeline``, which holds the sweep and the certificate writer and
@@ -42,51 +43,23 @@ import os
 import re
 import sys
 from fractions import Fraction
-from functools import partial
-from itertools import chain
-from operator import add, sub
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from itertools import chain, compress
+from operator import sub
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from ._version import __version__
-from .exact import ASCII_DIGITS, BLANKS, INT, PAD, format_rational
-from .riemann_roch import filter_c4
-from .topology import InadmissiblePairError, admissible_b4, c4_from_betti
+from .exact import ASCII_DIGITS, BLANKS, INT, PAD, format_ratio, format_rational
+from .riemann_roch import DENOMINATOR, VerificationError, filter_c4
+from .topology import InadmissiblePairError, admissible_b4, c4_from_betti, chern_from_c4
 
-_T = TypeVar("_T")
-
-# The defaults of prove and the error of a failed check, here so that the
-# command line reads them without importing the sweep.
+# The defaults of prove, here so that the command line reads them without
+# importing the sweep.
 DEFAULT_PRIMES: tuple[int, ...] = (2, 3, 5, 7, 11, 13)
 DEFAULT_T_MAX = 20
 
 
 class CandidateFormatError(ValueError):
     """Structurally malformed candidate file."""
-
-
-class VerificationError(Exception):
-    """An internal consistency check failed; this indicates a bug in the
-    pipeline or its inputs, never an accepted 'no contradiction' outcome.
-
-    ``candidate``, ``prime`` and ``t`` locate the failing triple as far as it
-    is known, and ``identity`` names the check that broke (for example
-    ``"salamon_W"`` or ``"chi_top_W"``); ``str(exc)`` is the message alone.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        candidate: tuple[int, int] | None = None,
-        prime: int | None = None,
-        t: int | None = None,
-        identity: str | None = None,
-    ) -> None:
-        super().__init__(message)
-        self.candidate = candidate
-        self.prime = prime
-        self.t = t
-        self.identity = identity
 
 
 class CandidateRow(NamedTuple):
@@ -363,13 +336,13 @@ def table1(candidates: CandidateFile, fmt: str = "md") -> str:
     """Render the accepted candidates as a md, csv or json table (columns
     No., c2sq, c4, b2, b3) sorted by decreasing b2 then decreasing b3."""
     b2s, b3s = candidates.b2s, candidates.b3s
-    # filter_c4's values are (chern, ..., accepted): the Chern data of an accepted c4
-    cherns = _per_c4(b2s, b3s, lambda values: values[0] if values[-1] else None)
-    accepted = [(b2, b3, chern) for b2, b3, chern in zip(b2s, b3s, cherns) if chern]
+    thirds = list(_c4_thirds(b2s, b3s))
+    at_class = _Memo(lambda third: filter_c4(3 * third)[-1])  # filter_c4 ends in accepted
+    accepted = list(compress(zip(b2s, b3s, thirds), map(at_class.__getitem__, thirds)))
     accepted.sort(reverse=True)  # by (-b2, -b3), since the pairs are distinct
     rows = [
-        (no, chern.c2sq, chern.c4, b2, b3)
-        for no, (b2, b3, chern) in enumerate(accepted, start=1)
+        (no, chern_from_c4(3 * third).c2sq, 3 * third, b2, b3)
+        for no, (b2, b3, third) in enumerate(accepted, start=1)
     ]
     if fmt == "md":
         head = "| No. | c2sq | c4 | b2 | b3 |\n|----:|-----:|---:|---:|---:|\n"
@@ -382,18 +355,32 @@ def table1(candidates: CandidateFile, fmt: str = "md") -> str:
     raise ValueError(f"unsupported format: {fmt!r}")
 
 
-def _per_c4(
-    b2s: Sequence[int], b3s: Sequence[int], derive: Callable[[tuple], _T]
-) -> Iterator[_T]:
-    """``derive(filter_c4(c4))`` for the c4 of each pair of the columns, in
-    order; filter_c4 and ``derive`` run once per distinct c4.  c4 is affine in
-    (b2, b3), so it is c4_from_betti(b2, 0) + c4_from_betti(0, b3) - c4 at
-    (0, 0), read off dicts keyed on the distinct b2 and b3."""
-    at_b2 = {b2: c4_from_betti(b2, 0) for b2 in set(b2s)}
-    at_b3 = {b3: c4_from_betti(0, b3) - c4_from_betti(0, 0) for b3 in set(b3s)}
-    c4s = list(map(add, map(at_b2.__getitem__, b2s), map(at_b3.__getitem__, b3s)))
-    memo = {c4: derive(filter_c4(c4)) for c4 in set(c4s)}
-    return map(memo.__getitem__, c4s)
+class _Memo(dict):
+    """``derive(key)`` at each key, computed on the first lookup of that key:
+    a map of __getitem__ over a column derives each distinct value once, and
+    no set of the column is built first."""
+
+    def __init__(self, derive: Callable[[int], object]) -> None:
+        self.derive = derive
+
+    def __missing__(self, key: int) -> object:
+        value = self[key] = self.derive(key)
+        return value
+
+
+def _c4_thirds(b2s: Sequence[int], b3s: Sequence[int]) -> Iterator[int]:
+    """c4/3 of each pair of the columns, in order: c4_from_betti(b2, 0)/3 - b3,
+    with c4_from_betti called only at each distinct b2, where the -3 it puts
+    on b3 and 3 | c4_from_betti(b2, 0) are checked."""
+
+    def third(b2: int) -> int:
+        c4 = c4_from_betti(b2, 0)
+        if c4 % 3 or c4_from_betti(b2, 1) - c4 != -3:
+            raise VerificationError(f"c4_from_betti({b2}, b3) is not 3*k - 3*b3",
+                                    identity="c4_from_betti")
+        return c4 // 3
+
+    return map(sub, map(_Memo(third).__getitem__, b2s), b3s)
 
 
 #: The head of one filter record, an item of the report's "records" array,
@@ -403,23 +390,23 @@ _RECORD_HEAD_JSON = b'{\n      "b2": %d,\n      "b3": '
 _NUMBER_SLOT = "\x00number"
 
 
-def _record_tail(shapes: dict[tuple, list[bytes]], values: tuple) -> bytes:
-    """A filter record after b2 and b3 (see _item_tail).  ``shapes`` holds it
-    once per shape (delta_sqrt None or not, the number of roots, accepted),
-    with a slot for each number, which is filled with the numbers of
-    ``values`` here."""
-    chern, delta, delta_sqrt, roots, accepted = values
-    roots, slot = sorted(roots), _NUMBER_SLOT
-    shape = (delta_sqrt is None, len(roots), accepted)
+def _record_tail(shapes: dict[tuple, list[bytes]], c4: int) -> bytes:
+    """The filter record of c4 after b2 and b3 (see _item_tail), from
+    filter_c4's integers.  ``shapes`` holds it once per shape (delta_sqrt None
+    or not, the number of roots, accepted), with a slot for each number,
+    which is filled with c4's numbers here."""
+    n, s, roots, accepted = filter_c4(c4)
+    slot = _NUMBER_SLOT
+    shape = (s is None, len(roots), accepted)
     if shape not in shapes:
         shapes[shape] = _item_tail({
             "c2sq": slot, "c4": slot, "delta": slot,
-            "delta_sqrt": None if delta_sqrt is None else slot,
+            "delta_sqrt": None if s is None else slot,
             "lambda_roots": [slot] * len(roots), "accepted": accepted,
         }, slot)
-    numbers = [b"%d" % chern.c2sq, b"%d" % chern.c4] + [
-        _json_str(format_rational(x)).encode()
-        for x in (delta, delta_sqrt, *roots) if x is not None
+    ratios = ((n, DENOMINATOR**2), (s, DENOMINATOR), *roots)
+    numbers = [b"%d" % chern_from_c4(c4).c2sq, b"%d" % c4] + [
+        _json_str(format_ratio(p, q)).encode() for p, q in ratios if p is not None
     ]
     pieces = shapes[shape]
     return b"".join(chain.from_iterable(zip(pieces, numbers))) + pieces[-1]
@@ -431,12 +418,12 @@ def filter_report_chunks(candidates: CandidateFile) -> Iterator[bytes]:
     shared pieces: the head of its b2, the text of its b3, and the tail of its
     c4, so no bytes object is built per record."""
     b2s, b3s = candidates.b2s, candidates.b3s
-    heads = {b2: _RECORD_HEAD_JSON % b2 for b2 in set(b2s)}
-    b3_texts = {b3: b"%d" % b3 for b3 in set(b3s)}
+    shapes: dict[tuple, list[bytes]] = {}
+    tails = _Memo(lambda third: _record_tail(shapes, 3 * third))
     records: list[bytes] = [b""] * (3 * len(b2s))
-    records[::3] = map(heads.__getitem__, b2s)
-    records[1::3] = map(b3_texts.__getitem__, b3s)
-    records[2::3] = _per_c4(b2s, b3s, partial(_record_tail, {}))
+    records[::3] = map(_Memo(_RECORD_HEAD_JSON.__mod__).__getitem__, b2s)
+    records[1::3] = map(_Memo(b"%d".__mod__).__getitem__, b3s)
+    records[2::3] = map(tails.__getitem__, _c4_thirds(b2s, b3s))
     payload = {
         "version": __version__,
         "input_digest": candidates.digest,

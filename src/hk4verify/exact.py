@@ -1,5 +1,6 @@
 """Exact rational arithmetic: perfect-square detection, the text of numbers
-(integers, and rationals in `p/q` form), and integer polynomials.
+(integers, and rationals in `p/q` form from a Fraction or from two integers),
+and integer polynomials.
 
 Every quantity the verification pipeline touches is an arbitrary-precision
 integer or a reduced fraction of such integers.  Rationals are represented by
@@ -90,6 +91,12 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(q: Fraction) -> str:
     """Render a rational as `p/q` (denominator kept even when it is 1)."""
     return f"{q.numerator}/{q.denominator}"
+
+
+def format_ratio(p: int, q: int) -> str:
+    """format_rational(Fraction(p, q)) for q > 0, without building the Fraction."""
+    g = math.gcd(p, q)
+    return "%d/%d" % (p // g, q // g)
 
 
 class Poly:

@@ -22,31 +22,60 @@ quadratic = u/3456, so the discriminant is delta = N / 864^2 with
 As 864^2 is a square, delta is a rational square iff N is a perfect integer
 square s^2 (s = isqrt(N), N >= 0); then sqrt(delta) = s/864 and, for u != 0,
 the roots of chi = 0 are 2(s - u)/u and -2(s + u)/u.  At u = 0 (c4 = 3024)
-N = 0 is a square but chi is the constant 3, so there are no roots.
-zero_chi is the one derivation of delta, sqrt(delta) and the roots from these
-integers: delta, admits_zero_chi, the filter, prove and the rr command all
-read it.  In the same terms chi = 3 + u * lambda * (lambda + 4) / 3456
-(rr_chi_hk).
+N = 0 is a square but chi is the constant 3, so there are no roots.  In the
+same terms chi = 3 + u * lambda * (lambda + 4) / 3456 (rr_chi_hk).
 
-Everything a CandidateRecord holds besides b2 and b3 is therefore a function
-of c4 alone (filter_c4), and many pairs share a c4 (105,324 admissible pairs
-with b2 <= 200 have 1,024 values).  The filter report and table1
-(candidates.filter_report_chunks and table1) rely on this: they call filter_c4
-once per distinct c4, on c4 alone, and write its values for every pair with
-that c4.  filter_c4 checks its values as a CandidateRecord checks its fields
-(_check_filter_values).
+Closed form.  With v = u - 1296 = 1728 - c4, N = v^2 - 1296^2, so N = s^2
+exactly when (v - s)(v + s) = 1296^2 = 2^8 * 3^8: v = +-(d + e)/2 and
+s = (e - d)/2 for a divisor pair d * e = 1296^2, d <= e, of equal parity.
+That gives 64 square classes, from c4 = -418,177 to 421,633; 63 have
+rational roots (all but c4 = 3024), and only the 35 of those with
+c4 = 0 (mod 6) occur on an admissible pair, whose b3 is even.  Each of the
+35 is a half-line b3 = 16 + 4*b2 - c4/3 with infinitely many admissible
+pairs, so the filter alone leaves Table 1 infinite; a finite table needs
+Guan's bounds (Guan, Math. Res. Lett. 8, 2001), which are cited, not coded.
+SQUARE_CLASSES is that table, derived from the divisors, and square_class,
+the one integer core, checks the isqrt test on every c4 against it; zero_chi
+(Fractions, for rr and prove), admits_zero_chi and filter_c4 read it.  The
+filter report and table1 call filter_c4 once per distinct c4 (1,024 for the
+105,324 admissible pairs with b2 <= 200).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Collection, NamedTuple
 
 from .exact import int_sqrt_exact
-from .topology import ChernData, chern_from_betti, chern_from_c4
+from .topology import ChernData, chern_from_betti
 
-#: 864^2, the denominator of delta over its integer numerator N.
-_DELTA_DENOMINATOR = 864 * 864
+#: sqrt(delta) = s / DENOMINATOR and delta = N / DENOMINATOR**2.
+DENOMINATOR = 864
+
+
+class VerificationError(Exception):
+    """An internal consistency check failed; this indicates a bug in the
+    pipeline or its inputs, never an accepted 'no contradiction' outcome.
+
+    ``candidate``, ``prime`` and ``t`` locate the failing triple as far as it
+    is known, and ``identity`` names the check that broke (for example
+    ``"salamon_W"`` or ``"chi_top_W"``); ``str(exc)`` is the message alone.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        candidate: tuple[int, int] | None = None,
+        prime: int | None = None,
+        t: int | None = None,
+        identity: str | None = None,
+    ) -> None:
+        super().__init__(message)
+        self.candidate = candidate
+        self.prime = prime
+        self.t = t
+        self.identity = identity
 
 
 class _CandidateRecord(NamedTuple):
@@ -72,11 +101,12 @@ class CandidateRecord(_CandidateRecord):
 
 
 def _check_filter_values(
-    delta: Fraction, delta_sqrt: Fraction | None, lambda_roots: frozenset[Fraction],
-    accepted: bool,
+    delta: Fraction | int, delta_sqrt: Fraction | int | None,
+    lambda_roots: Collection[object], accepted: bool,
 ) -> None:
     """The checks on a CandidateRecord's fields past its Chern data, and on
-    filter_c4's values: accepted mirrors the roots, delta_sqrt squares to delta."""
+    filter_c4's integers (N and s in place of delta and its square root):
+    accepted mirrors the roots, delta_sqrt squares to delta."""
     if accepted != bool(lambda_roots):
         raise ValueError("accepted must mirror root-set nonemptiness")
     if delta_sqrt is not None and delta_sqrt**2 != delta:
@@ -92,18 +122,48 @@ def rr_chi_hk(c4: int, lam: Fraction) -> Fraction:
     return 3 + Fraction(3024 - c4, 3456) * lam * (lam + 4)
 
 
-def zero_chi(c4: int) -> tuple[Fraction, Fraction | None, set[Fraction]]:
-    """(delta, sqrt(delta), roots) at c4, from the integer form: delta(c4),
-    its nonnegative rational square root (None when delta is not a rational
-    square), and every rational lambda with rr_chi_hk(c4, lambda) == 0."""
+def _square_classes() -> dict[int, tuple[int, tuple[tuple[int, int], ...]]]:
+    """c4 -> (s, roots) at each c4 where N = s^2, from the divisor pairs
+    d * e = 1296^2 of equal parity with d <= e (v = 1728 - c4 = +-(d + e)/2,
+    s = (e - d)/2); the roots ascending, distinct and as (p, q) in lowest
+    terms with q > 0, none at u = 0."""
+    classes = {}
+    for d in (2**i * 3**j for i in range(9) for j in range(9)):
+        e = 1296**2 // d
+        if d <= e and (e - d) % 2 == 0:
+            for v in ((d + e) // 2, -(d + e) // 2):
+                s, u = (e - d) // 2, v + 1296
+                tops = (2 * (s - u), -2 * (s + u)) if u else ()
+                roots = sorted({Fraction(top, u) for top in tops})
+                classes[1728 - v] = (s, tuple(r.as_integer_ratio() for r in roots))
+    return classes
+
+
+#: The 64 values of c4 at which N is a square, each with its s and roots.
+SQUARE_CLASSES = _square_classes()
+
+
+def square_class(c4: int) -> tuple[int, int | None, tuple[tuple[int, int], ...]]:
+    """(N, s, roots) at c4: N = (3024 - c4)(432 - c4), s = isqrt(N) if N is a
+    square (else None), and the roots of chi = 0 from SQUARE_CLASSES, which
+    must agree with the isqrt test on s (VerificationError)."""
     u = 3024 - c4
     n = u * (u - 2592)
     s = int_sqrt_exact(n) if n >= 0 else None
-    d = Fraction(n, _DELTA_DENOMINATOR)
-    sqrt = None if s is None else Fraction(s, 864)
-    if s is None or u == 0:
-        return d, sqrt, set()
-    return d, sqrt, {Fraction(2 * (s - u), u), Fraction(-2 * (s + u), u)}
+    s_table, roots = SQUARE_CLASSES.get(c4, (None, ()))
+    if s != s_table:
+        raise VerificationError(f"square_class fails at c4 = {c4}: isqrt gives s = {s}, "
+                                f"the divisor table s = {s_table}", identity="square_class")
+    return n, s, roots
+
+
+def zero_chi(c4: int) -> tuple[Fraction, Fraction | None, set[Fraction]]:
+    """(delta, sqrt(delta), roots) at c4 from square_class: delta(c4), its
+    nonnegative rational square root (None when delta is not a rational
+    square), and every rational lambda with rr_chi_hk(c4, lambda) == 0."""
+    n, s, roots = square_class(c4)
+    sqrt = None if s is None else Fraction(s, DENOMINATOR)
+    return Fraction(n, DENOMINATOR**2), sqrt, {Fraction(*root) for root in roots}
 
 
 def delta(c4: int) -> Fraction:
@@ -126,21 +186,20 @@ def admits_zero_chi(c4: int) -> set[Fraction]:
     return zero_chi(c4)[2]
 
 
-def filter_c4(c4: int) -> tuple[
-    ChernData, Fraction, Fraction | None, frozenset[Fraction], bool
-]:
-    """The fields of the CandidateRecord of any pair with this c4 past b2 and
-    b3, (chern, delta, delta_sqrt, lambda_roots, accepted), checked as
-    CandidateRecord checks them."""
-    d, sqrt, roots = zero_chi(c4)
-    values = (d, sqrt, frozenset(roots), bool(roots))
+def filter_c4(c4: int) -> tuple[int, int | None, tuple[tuple[int, int], ...], bool]:
+    """(N, s, roots, accepted) of any pair with this c4: square_class's
+    integers and accepted, checked as CandidateRecord checks its fields."""
+    n, s, roots = square_class(c4)
+    values = (n, s, roots, bool(roots))
     _check_filter_values(*values)
-    return (chern_from_c4(c4), *values)
+    return values
 
 
 def evaluate_candidate(b2: int, b3: int) -> CandidateRecord:
     """Run the full filter on one nonnegative (b2, b3) pair."""
-    return CandidateRecord(b2, b3, *filter_c4(chern_from_betti(b2, b3).c4))
+    chern = chern_from_betti(b2, b3)
+    d, sqrt, roots = zero_chi(chern.c4)
+    return CandidateRecord(b2, b3, chern, d, sqrt, frozenset(roots), bool(roots))
 
 
 def filter_candidates(pairs: list[tuple[int, int]]) -> list[CandidateRecord]:

@@ -135,7 +135,7 @@ MUTANTS = [
         "riemann_roch.py",
         "    n = u * (u - 2592)\n",
         "    n = u * (u - 2590)\n",
-        "zero_chi: 2592 -> 2590",
+        "square_class: 2592 -> 2590",
     ),
     (
         "exact.py",
@@ -319,28 +319,27 @@ MUTANTS = [
     ),
     (
         "candidates.py",
-        "    c4s = list(map(add, map(at_b2.__getitem__, b2s), map(at_b3.__getitem__, b3s)))\n",
-        "    c4s = [c4 % 7 for c4 in map(add, map(at_b2.__getitem__, b2s), "
-        "map(at_b3.__getitem__, b3s))]\n",
-        "_per_c4 keys its memo on c4 % 7",
+        "    return map(sub, map(_Memo(third).__getitem__, b2s), b3s)\n",
+        "    return (k % 7 for k in map(sub, map(_Memo(third).__getitem__, b2s), b3s))\n",
+        "the c4 column keys its classes on c4/3 % 7",
     ),
     (
         "candidates.py",
-        "c4_from_betti(0, b3) - c4_from_betti(0, 0) for b3",
-        "c4_from_betti(0, b3) for b3",
-        "the affine c4 split counts the constant term twice",
+        "        return c4 // 3\n",
+        "        return c4 // 3 + 16\n",
+        "the c4 column counts the constant term twice",
     ),
     (
         "candidates.py",
-        "at_b2 = {b2: c4_from_betti(b2, 0) for b2",
-        "at_b2 = {b2: c4_from_betti(b2, 2) for b2",
-        "the affine c4 split reads b2's term at b3 = 2",
+        "        c4 = c4_from_betti(b2, 0)\n",
+        "        c4 = c4_from_betti(b2, 2)\n",
+        "the c4 column reads b2's term at b3 = 2",
     ),
     (
         "riemann_roch.py",
         "    _check_filter_values(*values)\n",
         "",
-        "filter_c4 drops CandidateRecord's checks on a c4 class",
+        "filter_c4 drops CandidateRecord's checks on a c4 class's integers",
     ),
     (
         "riemann_roch.py",
@@ -386,20 +385,20 @@ MUTANTS = [
     ),
     (
         "candidates.py",
-        "    records[::3] = map(heads.__getitem__, b2s)\n"
-        "    records[1::3] = map(b3_texts.__getitem__, b3s)\n"
-        "    records[2::3] = _per_c4(",
-        "    records[2::3] = map(heads.__getitem__, b2s)\n"
-        "    records[1::3] = map(b3_texts.__getitem__, b3s)\n"
-        "    records[::3] = _per_c4(",
+        "    records[::3] = map(_Memo(_RECORD_HEAD_JSON.__mod__).__getitem__, b2s)\n"
+        "    records[1::3] = map(_Memo(b\"%d\".__mod__).__getitem__, b3s)\n"
+        "    records[2::3] = map(",
+        "    records[2::3] = map(_Memo(_RECORD_HEAD_JSON.__mod__).__getitem__, b2s)\n"
+        "    records[1::3] = map(_Memo(b\"%d\".__mod__).__getitem__, b3s)\n"
+        "    records[::3] = map(",
         "a filter record writes its tail before its head",
     ),
     (
         "candidates.py",
-        "    records[::3] = map(heads.__getitem__, b2s)\n"
-        "    records[1::3] = map(b3_texts.__getitem__, b3s)\n",
-        "    records[1::3] = map(heads.__getitem__, b2s)\n"
-        "    records[::3] = map(b3_texts.__getitem__, b3s)\n",
+        "    records[::3] = map(_Memo(_RECORD_HEAD_JSON.__mod__).__getitem__, b2s)\n"
+        "    records[1::3] = map(",
+        "    records[1::3] = map(_Memo(_RECORD_HEAD_JSON.__mod__).__getitem__, b2s)\n"
+        "    records[::3] = map(",
         "a filter record writes its b3 text before its b2 head",
     ),
     (
@@ -410,7 +409,7 @@ MUTANTS = [
     ),
     (
         "candidates.py",
-        "shape = (delta_sqrt is None, len(roots), accepted)",
+        "shape = (s is None, len(roots), accepted)",
         "shape = (len(roots), accepted)",
         "the filter tail shape ignores whether delta_sqrt is None",
     ),
@@ -443,6 +442,66 @@ MUTANTS = [
         "accepted.sort(reverse=True)",
         "accepted.sort()",
         "table1 sorts by increasing b2 and b3",
+    ),
+    (
+        "riemann_roch.py",
+        "for i in range(9) for j in range(9)",
+        "for i in range(7) for j in range(9)",
+        "the square classes skip the divisors with 2^7 (with 2^8 they pair with an odd e)",
+    ),
+    (
+        "riemann_roch.py",
+        "if d <= e and (e - d) % 2 == 0:",
+        "if d <= e:",
+        "the square classes take divisor pairs of unequal parity",
+    ),
+    (
+        "riemann_roch.py",
+        "for v in ((d + e) // 2, -(d + e) // 2):",
+        "for v in ((d + e) // 2,):",
+        "the square classes drop the negative v",
+    ),
+    (
+        "riemann_roch.py",
+        "-2 * (s + u)) if u else ()",
+        "-2 * (s + u)) if u > 0 else ()",
+        "the rootless exclusion takes every c4 >= 3024, not c4 = 3024 alone",
+    ),
+    (
+        "riemann_roch.py",
+        "    if s != s_table:\n",
+        "    if False:\n",
+        "square_class drops the isqrt-against-table check",
+    ),
+    (
+        "candidates.py",
+        "c4 % 3 or c4_from_betti(b2, 1) - c4 != -3:",
+        "c4 % 3:",
+        "the c4 column drops the check of c4_from_betti's -3 on b3",
+    ),
+    (
+        "candidates.py",
+        "c4 % 3 or c4_from_betti(b2, 1) - c4 != -3:",
+        "c4_from_betti(b2, 1) - c4 != -3:",
+        "the c4 column drops the check that 3 divides c4_from_betti(b2, 0)",
+    ),
+    (
+        "candidates.py",
+        "tails = _Memo(lambda third: _record_tail(shapes, 3 * third))",
+        "tails = _Memo(lambda third: _record_tail(shapes, third))",
+        "a class is derived at c4/3, not c4",
+    ),
+    (
+        "exact.py",
+        "    g = math.gcd(p, q)\n",
+        "    g = 1\n",
+        "format_ratio writes p/q unreduced",
+    ),
+    (
+        "riemann_roch.py",
+        "roots = sorted({Fraction(top, u) for top in tops})",
+        "roots = list({Fraction(top, u) for top in tops})",
+        "the square classes leave their roots unsorted",
     ),
 ]
 

@@ -288,6 +288,25 @@ def test_filter_summary_counts_flagged_rows(tmp_path, capsys):
     assert f"wrote filter report for 8 rows to {out}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [
+    ["filter", "--out", "x.json"], ["table1"], ["rr", "--c4", "324", "--lambda", "0"],
+])
+def test_square_class_table_disagreeing_with_isqrt_exits_2(command, tmp_path, monkeypatch,
+                                                          capsys):
+    from hk4verify import riemann_roch
+
+    table = dict(riemann_roch.SQUARE_CLASSES)
+    del table[324]  # the fixture's (23, 0) has c4 = 324
+    monkeypatch.setattr(riemann_roch, "SQUARE_CLASSES", table)
+    monkeypatch.chdir(tmp_path)
+    assert main(command) == 2
+    assert capsys.readouterr().err == (
+        "verification failed: square_class fails at c4 = 324: isqrt gives s = 540, "
+        "the divisor table s = None\n"
+    )
+    assert sorted(tmp_path.iterdir()) == []
+
+
 def test_verification_failure_exits_2(tmp_path, monkeypatch, capsys):
     from hk4verify.pipeline import VerificationError
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hk4verify.exact import (
     Poly,
+    format_ratio,
     format_rational,
     int_sqrt_exact,
     parse_int,
@@ -151,6 +152,13 @@ def test_format_rational():
     assert format_rational(F(-8, 5)) == "-8/5"
     assert format_rational(F(3)) == "3/1"
     assert format_rational(F(0)) == "0/1"
+
+
+def test_format_ratio_is_format_rational_of_the_fraction():
+    for p in range(-60, 61):
+        for q in [*range(1, 25), 746496, 864]:
+            assert format_ratio(p, q) == format_rational(F(p, q)), (p, q)
+    assert format_ratio(-1296 * 5, 2 * 1296) == "-5/2"
 
 
 @given(st.fractions())

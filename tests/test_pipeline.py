@@ -1329,14 +1329,15 @@ def test_emit_filter_report():
 
 
 def test_filter_checks_each_c4_class_as_candidate_record_does(monkeypatch):
-    # filter_c4 runs CandidateRecord's checks on the values of each c4 class
-    zero_chi = riemann_roch.zero_chi
+    # filter_c4 runs CandidateRecord's checks on the integers of each c4 class,
+    # which both reports read from square_class
+    square_class = riemann_roch.square_class
 
     def off(c4):
-        d, sqrt, roots = zero_chi(c4)
-        return d, (None if sqrt is None else sqrt + 1), roots
+        n, s, roots = square_class(c4)
+        return n, (None if s is None else s + 1), roots
 
-    monkeypatch.setattr(riemann_roch, "zero_chi", off)
+    monkeypatch.setattr(riemann_roch, "square_class", off)
     cf = parse_candidates(FOUR_PAIRS)
     for report in (lambda: emit_filter_report(cf), lambda: table1(cf, "csv")):
         with pytest.raises(ValueError, match="delta_sqrt does not square to delta"):
@@ -1344,7 +1345,25 @@ def test_filter_checks_each_c4_class_as_candidate_record_does(monkeypatch):
 
 
 def test_filter_c4_column_is_c4_from_betti():
-    # the c4 column comes from an affine split over the distinct b2 and b3
-    cf = parse_candidates(_region_text(12))
-    c4s = list(candidates._per_c4(cf.b2s, cf.b3s, lambda values: values[0].c4))
-    assert c4s == list(map(c4_from_betti, cf.b2s, cf.b3s))
+    # the column c4/3 comes from a memo on the distinct b2 minus b3, pair by
+    # pair equal to c4_from_betti / 3, on a bulk-read region and on a file
+    # read line by line (CRLF) with flagged rows
+    region = parse_candidates(_region_text(12))
+    lines = parse_candidates("b2,b3\r\n23,0\r\n0,100\r\n23,0\r\n7,8\r\n1,3\r\n200,4\r\n")
+    assert len(lines.flagged) == 3 and len(lines.b2s) == 3
+    for cf in (region, lines):
+        thirds = list(candidates._c4_thirds(cf.b2s, cf.b3s))
+        assert [3 * third for third in thirds] == list(map(c4_from_betti, cf.b2s, cf.b3s))
+
+
+@pytest.mark.parametrize("c4_from_betti", [
+    lambda b2, b3: 48 + 12 * b2 - 2 * b3,  # b3's coefficient is not -3
+    lambda b2, b3: 49 + 12 * b2 - 3 * b3,  # c4 at b3 = 0 is not a multiple of 3
+])
+def test_filter_c4_column_checks_what_it_reads_off_c4_from_betti(monkeypatch, c4_from_betti):
+    monkeypatch.setattr(candidates, "c4_from_betti", c4_from_betti)
+    cf = parse_candidates(FOUR_PAIRS)
+    for report in (lambda: emit_filter_report(cf), lambda: table1(cf, "csv")):
+        with pytest.raises(VerificationError) as exc:
+            report()
+        assert exc.value.identity == "c4_from_betti"

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import defaultdict
 from fractions import Fraction as F
@@ -6,14 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hk4verify.exact import rational_sqrt_exact
+from hk4verify import riemann_roch
+from hk4verify.candidates import VerificationError
+from hk4verify.exact import format_ratio, format_rational, rational_sqrt_exact
 from hk4verify.riemann_roch import (
+    SQUARE_CLASSES,
     CandidateRecord,
     admits_zero_chi,
     delta,
     evaluate_candidate,
+    filter_c4,
     filter_candidates,
     rr_chi_hk,
+    square_class,
     zero_chi,
 )
 from hk4verify.topology import chern_from_betti
@@ -289,3 +295,62 @@ def test_candidate_record_invariants():
             lambda_roots=record.lambda_roots,
             accepted=True,
         )
+
+
+def test_square_classes_are_every_square_n_by_brute_force():
+    # N = v^2 - 1296^2 with v = 1728 - c4.  If N = s^2 then (|v| - s)(|v| + s)
+    # = 1296^2 with |v| - s >= 1, so |v| <= (1296^2 + 1) / 2: scan all such v.
+    bound = (1296**2 + 1) // 2
+    brute = {}
+    for v in range(-bound, bound + 1):
+        n = v * v - 1296**2
+        if n >= 0 and math.isqrt(n) ** 2 == n:
+            brute[1728 - v] = math.isqrt(n)
+    assert {c4: s for c4, (s, _) in SQUARE_CLASSES.items()} == brute
+    assert len(brute) == 64
+    assert (min(brute), max(brute)) == (-418177, 421633)
+    rooted = {c4 for c4, (_, roots) in SQUARE_CLASSES.items() if roots}
+    assert set(SQUARE_CLASSES) - rooted == {3024}
+    assert len(rooted) == 63
+    assert len({c4 for c4 in rooted if c4 % 6 == 0}) == 35
+    for c4 in SQUARE_CLASSES:  # and each against the rational reference
+        _assert_integer_core_matches_reference(c4)
+
+
+def _region200_c4s():
+    return {48 + 12 * b2 - 3 * b3 for b2 in range(201) for b3 in range(0, 47 + 10 * b2, 2)}
+
+
+def test_filter_c4_integers_are_zero_chi_fractions():
+    # on every class of the b2 <= 200 region and of the table, the integers
+    # that the filter writes are zero_chi's delta, sqrt(delta) and roots
+    c4s = _region200_c4s()
+    assert len(c4s) == 1024
+    for c4 in c4s | set(SQUARE_CLASSES):
+        n, s, roots, accepted = filter_c4(c4)
+        d, sqrt, zero = zero_chi(c4)
+        assert F(n, 864**2) == d and format_ratio(n, 864**2) == format_rational(d)
+        assert (s is None) == (sqrt is None)
+        if s is not None:
+            assert F(s, 864) == sqrt and format_ratio(s, 864) == format_rational(sqrt)
+        assert [F(*root) for root in roots] == sorted(zero)
+        assert [format_ratio(*root) for root in roots] == list(map(format_rational, sorted(zero)))
+        assert accepted == bool(zero) == (c4 in SQUARE_CLASSES and c4 != 3024)
+
+
+@pytest.mark.parametrize("c4, entry", [
+    (108, None),  # a square class missing from the table
+    (0, (1, ((-1, 1),))),  # a table entry where N is no square
+    (324, (SQUARE_CLASSES[324][0] + 2, SQUARE_CLASSES[324][1])),  # a wrong s
+])
+def test_square_class_refuses_a_table_that_disagrees_with_isqrt(monkeypatch, c4, entry):
+    table = dict(SQUARE_CLASSES)
+    if entry is None:
+        del table[c4]
+    else:
+        table[c4] = entry
+    monkeypatch.setattr(riemann_roch, "SQUARE_CLASSES", table)
+    for call in (square_class, zero_chi, admits_zero_chi, filter_c4):
+        with pytest.raises(VerificationError, match=f"^square_class fails at c4 = {c4}:") as exc:
+            call(c4)
+        assert exc.value.identity == "square_class"
