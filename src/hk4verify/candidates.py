@@ -188,10 +188,10 @@ def _read_plain_body(body: str) -> tuple[tuple[int, ...], tuple[int, ...]] | Non
         top = max(b2s)
         for b3 in set(b3s):
             admissible_b4(top, b3)
-        base = {b2: admissible_b4(b2, 0) for b2 in set(b2s)}
+        base = _Memo(lambda b2: admissible_b4(b2, 0))  # read once per distinct b2
+        if min(map(sub, map(base.__getitem__, b2s), b3s)) < 0:
+            return None
     except InadmissiblePairError:
-        return None
-    if min(map(sub, map(base.__getitem__, b2s), b3s)) < 0:
         return None
     return b2s, b3s
 
@@ -276,6 +276,10 @@ _CHUNK_PIECES = 2048
 
 _json_str = json.encoder.encode_basestring_ascii
 
+#: A value that stands in a report's template for one that varies by row; the
+#: template is split where it stands (_item_tail) and the values fill the gaps.
+_SLOT = "\x00slot"
+
 
 def _fraction_text(value: object) -> str:
     """A Fraction as the string "p/q"; any other non-JSON value is refused."""
@@ -294,12 +298,12 @@ def _json_block(value: object, indent: str = "") -> str:
     return _ENCODER.encode(value).replace("\n", "\n" + indent)
 
 
-def _item_tail(value: object, slot: str) -> list[bytes]:
+def _item_tail(value: object) -> list[bytes]:
     """The fields of ``value``, an item of a report's top-level array, after a
     head that holds its "{": led by "," and followed by ",\\n    ", as bytes
-    split where the string ``slot`` ("\\x00" and a name) stands in ``value``."""
+    split where _SLOT stands in ``value``."""
     text = "," + _json_block(value, "    ")[1:] + ",\n    "
-    return text.encode().split(_json_str(slot).encode())
+    return text.encode().split(_json_str(_SLOT).encode())
 
 
 def _chunks(parts: list[bytes]) -> Iterator[bytes]:
@@ -387,7 +391,6 @@ def _c4_thirds(b2s: Sequence[int], b3s: Sequence[int]) -> Iterator[int]:
 #: filled with b2; b3's text and _record_tail write the rest.  b2 and b3 are
 #: the ints the parser read, so %d writes them as JSON.
 _RECORD_HEAD_JSON = b'{\n      "b2": %d,\n      "b3": '
-_NUMBER_SLOT = "\x00number"
 
 
 def _record_tail(shapes: dict[tuple, list[bytes]], c4: int) -> bytes:
@@ -396,14 +399,13 @@ def _record_tail(shapes: dict[tuple, list[bytes]], c4: int) -> bytes:
     or not, the number of roots, accepted), with a slot for each number,
     which is filled with c4's numbers here."""
     n, s, roots, accepted = filter_c4(c4)
-    slot = _NUMBER_SLOT
     shape = (s is None, len(roots), accepted)
     if shape not in shapes:
         shapes[shape] = _item_tail({
-            "c2sq": slot, "c4": slot, "delta": slot,
-            "delta_sqrt": None if s is None else slot,
-            "lambda_roots": [slot] * len(roots), "accepted": accepted,
-        }, slot)
+            "c2sq": _SLOT, "c4": _SLOT, "delta": _SLOT,
+            "delta_sqrt": None if s is None else _SLOT,
+            "lambda_roots": [_SLOT] * len(roots), "accepted": accepted,
+        })
     ratios = ((n, DENOMINATOR**2), (s, DENOMINATOR), *roots)
     numbers = [b"%d" % chern_from_c4(c4).c2sq, b"%d" % c4] + [
         _json_str(format_ratio(p, q)).encode() for p, q in ratios if p is not None

@@ -38,7 +38,7 @@ first candidate in file order, which stand for the runs of all its candidates.
 ``prove`` returns the groups as ``Certificates``: ``runs`` gives one
 ``CertificateRun`` per (candidate, prime), and iteration one per certificate
 (a run of one t).  ``report_chunks`` writes each group as one block from a
-template built once per c4 and range of t.
+template built once per branch.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import sys
 from enum import Enum
 from functools import partial
 from itertools import chain
-from operator import add, itemgetter
+from operator import add, attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from ._version import __version__
@@ -59,10 +59,10 @@ from .candidates import (  # re-exported: the supported hk4verify.pipeline names
     CandidateFormatError,
     CandidateRow,
     VerificationError,
+    _SLOT,
     _chunks,
     _item_tail,
     _json_chunks,
-    _json_str,
     _md_row,
     builtin_candidates,
     emit_filter_report,
@@ -145,14 +145,6 @@ class _Group(NamedTuple):
     hypotheses: tuple[str, ...]
     base: tuple[int, ...] | None = None
 
-    @classmethod
-    def of(cls, run: CertificateRun) -> _Group:
-        """``run`` as a group of one prime."""
-        candidate, p, ts, branch, details, hypotheses = run
-        form = details.get("betti_W")
-        base = form.base if isinstance(form, AffineBetti) else None
-        return cls(candidate, (p,), ts, branch, (details,), hypotheses, base)
-
     def runs(self) -> Iterator[CertificateRun]:
         """The group's runs, one per prime, in the order of ``primes``."""
         for p, details in zip(self.primes, self.details):
@@ -164,15 +156,13 @@ class _Group(NamedTuple):
 
 
 class Certificates:
-    """The certificates of one prove call, held per candidate; ``runs`` gives
-    them per (candidate, prime), and ``len`` and iteration one per (candidate,
-    prime, t), in sweep order, as a run of that one t.  ``Certificates(runs)``
-    holds each run as a group of one prime; prove passes its ``_groups``."""
+    """The certificates of one prove call, held as prove's groups, one per
+    candidate; ``runs`` gives them per (candidate, prime), and ``len`` and
+    iteration one per (candidate, prime, t), in sweep order, as a run of that
+    one t."""
 
-    def __init__(
-        self, runs: Iterable[CertificateRun] = (), *, _groups: Iterable[_Group] = ()
-    ) -> None:
-        self._groups = (*_groups, *map(_Group.of, runs))
+    def __init__(self, groups: Iterable[_Group]) -> None:
+        self._groups = tuple(groups)
 
     @property
     def runs(self) -> tuple[CertificateRun, ...]:
@@ -273,7 +263,7 @@ def prove(
         shared = _class_of(c4, fixed, zero_W, slope) if first is None else first[3:6]
         groups.append(_Group((b2, b3), primes, ts, *shared, base))
         classes.setdefault(c4, groups[-1])
-    certificates = Certificates(_groups=groups)
+    certificates = Certificates(groups)
     if len(certificates) != expected:
         raise VerificationError(
             f"expected {expected} certificates, produced {len(certificates)}",
@@ -408,7 +398,8 @@ def _table_tail(
 ) -> list[bytes]:
     """The tail of a csv or markdown certificate: ``row`` of the cells after
     t, in the column order of _CERT_CSV_HEAD.  ``no_roots`` fills the
-    lambda_roots cell of a Table1Exclusion certificate with an empty root set."""
+    lambda_roots cell of a Table1Exclusion certificate with an empty root set.
+    Split at chi_top_X's _SLOT, the first; the csv input digest follows it."""
     exclusion = branch is Branch.TABLE1_EXCLUSION
     roots = ";".join(format_rational(r) for r in details.get("lambda_roots", ()))
     cells = [
@@ -418,41 +409,24 @@ def _table_tail(
         roots or (no_roots if exclusion else ""),
         str(details["m"]), str(details["k"]),
     ]
-    return [row(cells).encode()]
+    return row(cells).encode().split(_SLOT.encode(), 1)
 
 
 #: One certificate, an item of the report's "certificates" array: the head
 #: (the candidate), the prime and t, and the tail (branch, details and
-#: hypotheses).  The tail is the same for every certificate of a (candidate,
-#: prime), except for the betti_W of an AffineBetti, which the tail holds as
-#: _BETTI_W_SLOT and is split at; _BETTI_W_JSON fills in its value at each t.
+#: hypotheses), split at the _SLOT of chi_top_X and, on Table1Exclusion, of
+#: betti_W; _BETTI_W_JSON writes b(W) at each t.
 _CERT_HEAD_JSON = b'{\n      "candidate": [\n        %d,\n        %d\n      ],\n'
 _PRIME_T_JSON = b'      "prime": %d,\n      "t": %d'
-_BETTI_W_SLOT = "\x00betti_W"
 _BETTI_W_JSON = b"[" + b",".join([b"\n          %d"] * 9) + b"\n        ]"  # b0..b8
-_CHI_X_SLOT = "\x00chi_top_X"
 
 
 def _json_tail(
-    shapes: dict[tuple[int, ...], list[bytes]],
-    branch: Branch, details: dict[str, object], hypotheses: tuple[str, ...],
+    branch: Branch, details: dict[str, object], hypotheses: tuple[str, ...]
 ) -> list[bytes]:
-    """The tail of a JSON certificate, split at betti_W when that is an
-    AffineBetti.  ``shapes`` holds it once per branch, hypotheses and details
-    with an int chi_top_X and an AffineBetti betti_W as slots, keyed on the ids
-    of those objects (the report's runs keep them alive, and 1, True and
-    Fraction(1) stay apart); chi_top_X is filled in here, as %d writes it."""
-    chi = details.get("chi_top_X")
-    shown = {**details, "chi_top_X": _CHI_X_SLOT} if type(chi) is int else dict(details)
-    if isinstance(details.get("betti_W"), AffineBetti):
-        shown["betti_W"] = _BETTI_W_SLOT
-    key = (id(branch), id(hypotheses), *map(id, shown), *map(id, shown.values()))
-    if key not in shapes:
-        tail = {"branch": branch.value, "details": shown, "hypotheses": hypotheses}
-        shapes[key] = _item_tail(tail, _BETTI_W_SLOT)
-    if type(chi) is not int:
-        return shapes[key]
-    return [p.replace(_json_str(_CHI_X_SLOT).encode(), b"%d" % chi) for p in shapes[key]]
+    """The tail of a JSON certificate, split at each _SLOT in ``details``."""
+    tail = {"branch": branch.value, "details": details, "hypotheses": hypotheses}
+    return _item_tail(tail)
 
 
 def _cert_rows(
@@ -461,47 +435,47 @@ def _cert_rows(
 ) -> list[bytes]:
     """The rows of every report format, one block per group: each certificate
     is ``head`` filled with the candidate, ``prime_t`` filled with (prime, t),
-    and the tail of the prime's details, split around b(W) at t if in two.
-    The block less its heads and b(W) texts is a _template, built once per
-    (branch, hypotheses, primes, ts, details) objects, keyed on ids: the
-    groups keep them alive.  One slice assignment fills in the heads."""
-    templates: dict[tuple, tuple[list[bytes], int, list[list[int]]]] = {}
-    texts: dict[tuple[int, range], list[bytes]] = {}  # of prime_t, per (prime, ts)
+    and the tail of the prime's details with chi_top_X, and b(W) at t if the
+    tail holds it, in its slots.  prove's groups of one branch differ in
+    nothing else, so the block less these texts is a _template built once per
+    branch, and one slice assignment fills each text in."""
+    templates: dict[Branch, tuple[list[bytes], int, list[list[int]]]] = {}
     rows: list[bytes] = []
     for g in groups:
-        key = (id(g.branch), id(g.hypotheses), g.primes, g.ts, *map(id, g.details))
-        if key not in templates:
-            templates[key] = _template(g, prime_t, render_tail, texts)
-        pieces, step, steps = templates[key]
-        start = len(rows)
+        if g.branch not in templates:
+            templates[g.branch] = _template(g, prime_t, render_tail)
+        pieces, step, steps = templates[g.branch]
+        start, count = len(rows), len(pieces) // step
         rows += pieces
-        rows[start::step] = [head % g.candidate] * (len(pieces) // step)
+        rows[start::step] = [head % g.candidate] * count
+        rows[start + 3::step] = [b"%d" % g.details[0]["chi_top_X"]] * count
         if steps:  # b(W) = b(X) + slope*t, column by column
             columns = [map(b.__add__, column) for b, column in zip(g.base, steps)]
-            rows[start + 3::step] = map(_BETTI_W_JSON.__mod__, zip(*columns))
+            rows[start + 5::step] = map(_BETTI_W_JSON.__mod__, zip(*columns))
     return rows
 
 
 def _template(
     g: _Group, prime_t: bytes,
     render_tail: Callable[[Branch, dict[str, object], tuple[str, ...]], list[bytes]],
-    texts: dict[tuple[int, range], list[bytes]],
 ) -> tuple[list[bytes], int, list[list[int]]]:
-    """The block of ``g`` with b"" for each head and b(W) text (see _cert_rows),
-    with primes in increasing order; the pieces per certificate; and, when the
-    tails are split around b(W), each column of slope*t in block order (else
-    no column)."""
+    """The block of ``g`` with primes in increasing order and b"" in each slot
+    of a certificate: the head (0), chi_top_X (3) and b(W) (5, when the tail
+    holds it); the pieces per certificate; and, when the tails hold b(W), each
+    column of slope*t in block order (else no column)."""
     pieces: list[bytes] = []
     slopes: list[tuple[int, ...]] = []
     for p, details in sorted(zip(g.primes, g.details), key=itemgetter(0)):
-        cert = [b"", b"", *render_tail(g.branch, details, g.hypotheses)]
-        if len(cert) == 4:  # a tail split around b(W)
-            cert.insert(3, b"")
+        shown = {**details, "chi_top_X": _SLOT}
+        if "betti_W" in shown:
+            shown["betti_W"] = _SLOT
+        tail = render_tail(g.branch, shown, g.hypotheses)
+        if len(tail) == 3:  # split at chi_top_X and at b(W)
             slopes.append(details["betti_W"].slope)
-        if (p, g.ts) not in texts:
-            texts[p, g.ts] = [prime_t % (p, t) for t in g.ts]
+        cert = [b""] * (2 * len(tail) + 1)
+        cert[2::2] = tail
         run = cert * len(g.ts)
-        run[1::len(cert)] = texts[p, g.ts]
+        run[1::len(cert)] = [prime_t % (p, t) for t in g.ts]
         pieces += run
     steps = [[x * t for x in column for t in g.ts] for column in zip(*slopes)]
     return pieces, len(cert), steps
@@ -514,23 +488,21 @@ def report_chunks(
     chunks of bytes whose concatenation is the report.
 
     Certificates are sorted by (b2, b3, prime, t) by sorting the groups on
-    (candidate, primes, first t) and each group's primes in _template;
-    rationals are rendered as `p/q` strings; the tool version and the
-    input-file digest are embedded.  Identical inputs produce byte-identical
+    the candidate (prove's groups share primes and ts) and each group's
+    primes in _template; rationals are rendered as `p/q` strings; the tool
+    version and the input-file digest are embedded.  Identical inputs produce byte-identical
     output.  _cert_rows writes the rows of every format here, so an
     unsupported ``fmt`` raises ValueError before any row, and so does a csv
     ``input_digest`` holding `,`, `"`, "\\r" or "\\n" (csv cells are never
     quoted); the chunks are joined as they are consumed.
     """
-    groups = sorted(certs._groups, key=lambda g: (g.candidate, g.primes, g.ts.start))
+    groups = sorted(certs._groups, key=attrgetter("candidate"))
     if fmt == "json":
         payload = {
             "version": __version__,
             "input_digest": input_digest,
             "branch_counts": certs.branch_counts(),
-            "certificates": _cert_rows(
-                groups, _CERT_HEAD_JSON, _PRIME_T_JSON, partial(_json_tail, {})
-            ),
+            "certificates": _cert_rows(groups, _CERT_HEAD_JSON, _PRIME_T_JSON, _json_tail),
         }
         return _json_chunks(payload, "certificates")
     if fmt == "csv":

@@ -247,39 +247,49 @@ MUTANTS = [
     ),
     (
         "pipeline.py",
-        "key = (id(g.branch), id(g.hypotheses), g.primes, g.ts, ",
-        "key = (id(g.branch), id(g.hypotheses), g.primes, ",
-        "the template key drops ts",
+        "        if g.branch not in templates:\n"
+        "            templates[g.branch] = _template(g, prime_t, render_tail)\n"
+        "        pieces, step, steps = templates[g.branch]\n",
+        "        if None not in templates:\n"
+        "            templates[None] = _template(g, prime_t, render_tail)\n"
+        "        pieces, step, steps = templates[None]\n",
+        "the templates are keyed on a constant, so both branches share the first one",
     ),
     (
         "pipeline.py",
-        "key = (id(g.branch), id(g.hypotheses), g.primes, g.ts, ",
-        "key = (id(g.branch), id(g.hypotheses), g.ts, ",
-        "the template key drops the primes",
-    ),
-    (
-        "pipeline.py",
-        "g.primes, g.ts, *map(id, g.details))",
-        "g.primes, g.ts)",
-        "the template key drops its class, the details objects",
-    ),
-    (
-        "pipeline.py",
-        "texts[p, g.ts] = [prime_t % (p, t) for t in g.ts]",
-        "texts[p, g.ts] = [prime_t % (min(g.primes), t) for t in g.ts]",
+        "[prime_t % (p, t) for t in g.ts]",
+        "[prime_t % (min(g.primes), t) for t in g.ts]",
         "the prime and t texts are built without the prime",
     ),
     (
         "pipeline.py",
-        "key=lambda g: (g.candidate, g.primes, g.ts.start)",
-        "key=lambda g: (g.candidate, g.ts.start)",
-        "the group sort ignores the prime",
+        'sorted(certs._groups, key=attrgetter("candidate"))',
+        "list(certs._groups)",
+        "the writer keeps the groups in file order",
     ),
     (
         "pipeline.py",
         "[[x * t for x in column for t in g.ts] for column in zip(*slopes)]",
-        "[[x * t for x in column for t in range(len(g.ts))] for column in zip(*slopes)]",
-        "the column-wise b(W) ignores ts.start",
+        "[[x * t for t in g.ts for x in column] for column in zip(*slopes)]",
+        "the column-wise b(W) runs t-major, not in the block's prime-major order",
+    ),
+    (
+        "pipeline.py",
+        "rows[start + 3::step] = [b\"%d\"",
+        "rows[start + 2::step] = [b\"%d\"",
+        "chi_top_X is written over the tail piece before its slot",
+    ),
+    (
+        "pipeline.py",
+        "rows[start + 5::step] = map(",
+        "rows[start + 3::step] = map(",
+        "b(W) is written into chi_top_X's slot",
+    ),
+    (
+        "pipeline.py",
+        "        if len(tail) == 3:  # split at chi_top_X and at b(W)\n",
+        "        if len(tail) >= 2:  # split at chi_top_X and at b(W)\n",
+        "the csv and md templates take b(W) columns they have no slot for",
     ),
     (
         "pipeline.py",
@@ -367,21 +377,21 @@ MUTANTS = [
     ),
     (
         "pipeline.py",
-        'b"%d" % chi)',
-        'b"%d" % details["chi_top_fixed_locus"])',
-        "a JSON tail fills chi_top_X from the fixed locus's chi_top",
+        'b"%d" % g.details[0]["chi_top_X"]',
+        'b"%d" % g.details[0]["chi_top_fixed_locus"]',
+        "chi_top_X is filled from the fixed locus's chi_top",
     ),
     (
         "pipeline.py",
-        "key = (id(branch), id(hypotheses), *map(id, shown), ",
-        "key = (id(branch), *map(id, shown), ",
-        "the JSON tail shape key drops hypotheses",
+        '"hypotheses": hypotheses}',
+        '"hypotheses": _HYPOTHESES_COMMON}',
+        "a JSON tail writes the common hypotheses on either branch",
     ),
     (
         "pipeline.py",
-        ", *map(id, shown.values()))",
-        ")",
-        "the JSON tail shape key ignores the details values",
+        'shown = {**details, "chi_top_X": _SLOT}',
+        'shown = {**g.details[0], "chi_top_X": _SLOT}',
+        "a template writes its first prime's details for every prime",
     ),
     (
         "candidates.py",

@@ -15,8 +15,6 @@ from hk4verify._version import __version__
 from hk4verify.pipeline import (
     Branch,
     CandidateFormatError,
-    CertificateRun,
-    Certificates,
     DEFAULT_PRIMES,
     DEFAULT_T_MAX,
     VerificationError,
@@ -884,8 +882,12 @@ def test_emit_report_csv():
     assert lines[-1].startswith("23,0,3,1,LefschetzMismatch,324,,,,0,0")
 
 
+def _no_certificates():
+    return prove(parse_candidates("b2,b3\n"))
+
+
 def test_emit_report_csv_empty_is_header_only():
-    blob = emit_report(Certificates(()), "csv", input_digest="sha256:none")
+    blob = emit_report(_no_certificates(), "csv", input_digest="sha256:none")
     assert blob.decode().splitlines() == [
         "b2,b3,prime,t,branch,chi_top_X,c4_W,delta,lambda_roots,m,k,"
         "version,input_digest"
@@ -945,7 +947,7 @@ def test_emit_report_markdown_full_text():
 def test_emit_report_unsupported_format():
     for fmt in ("xml", "markdown"):
         with pytest.raises(ValueError):
-            emit_report(Certificates(()), fmt)
+            emit_report(_no_certificates(), fmt)
 
 
 def test_table1_markdown():
@@ -1041,37 +1043,17 @@ def test_emit_report_json_digest_on_b2_le_9_region():
 
 
 def test_emit_report_json_layout_empty():
-    blob = emit_report(Certificates(()), "json", input_digest="sha256:none")
+    blob = emit_report(_no_certificates(), "json", input_digest="sha256:none")
     _assert_dumps_layout(blob)
     assert json.loads(blob)["certificates"] == []
 
 
-def test_emit_report_json_keeps_equal_values_of_different_types_apart():
-    # 1, True and Fraction(1) compare equal but are written 1, true and "1/1"
-    (run,) = prove(parse_candidates("b2,b3\n23,0\n"), primes=(2,), t_max=0).runs
-    values = [1, True, F(1), (1,), (True,), (F(1),)]
-    certs = Certificates(
-        run._replace(
-            ts=range(t, t + 1), details={**run.details, "x": value},
-            hypotheses=run.hypotheses if t % 2 else ("h", 1, True),
-        )
-        for t, value in enumerate(values)
-    )
-    data = json.loads(emit_report(certs, "json"))
-    assert [c["details"]["x"] for c in data["certificates"]] == [
-        1, True, "1/1", [1], [True], ["1/1"],
-    ]
-    assert [type(c["details"]["x"]) for c in data["certificates"]][:2] == [int, bool]
-    assert data["certificates"][0]["hypotheses"] == ["h", 1, True]
-    assert data["certificates"][1]["hypotheses"] == list(run.hypotheses)
-
-
 @pytest.mark.parametrize("value", [{1}, b"1"])
-def test_emit_report_json_refuses_unsupported_values(value):
-    (run,) = prove(parse_candidates("b2,b3\n23,0\n"), primes=(2,), t_max=0).runs
-    certs = Certificates([run._replace(details={**run.details, "x": value})])
+def test_json_block_refuses_unsupported_values(value):
+    # a report Fraction is written "p/q", so 1, True and Fraction(1) stay apart
+    assert candidates._json_block([1, True, F(1)]) == '[\n  1,\n  true,\n  "1/1"\n]'
     with pytest.raises(TypeError, match="unexpected report value"):
-        emit_report(certs, "json")
+        candidates._json_block({"x": value})
 
 
 #: sha256 of the csv and md reports of the b2 <= 3 and b2 <= 9 regions
@@ -1110,34 +1092,68 @@ def test_emit_report_csv_refuses_a_digest_it_would_have_to_quote(digest):
 _REGION3_AND_C4_ZERO = "b2,b3\n5,36\n4,32\n" + _region_text(3).removeprefix("b2,b3\n")
 
 
-def _same_reports(cf, *values):
-    for fmt in ("json", "csv", "md"):
-        first, *rest = (emit_report(v, fmt, input_digest=cf.digest) for v in values)
-        assert all(blob == first for blob in rest), fmt
+def _reference_report(certs, fmt, digest):
+    """The report of ``certs`` rendered one certificate of iteration at a time,
+    with json.dumps(indent=2) and a csv and markdown formatter of its own."""
+    listed = sorted(certs, key=lambda c: (c.candidate, c.prime, c.t))
+    counts = {branch.value: sum(c.branch is branch for c in listed) for branch in Branch}
+
+    def ratio(x):
+        return f"{x.numerator}/{x.denominator}"
+
+    if fmt == "json":
+        payload = {
+            "version": __version__, "input_digest": digest, "branch_counts": counts,
+            "certificates": [
+                {"candidate": c.candidate, "prime": c.prime, "t": c.t,
+                 "branch": c.branch.value, "details": c.details,
+                 "hypotheses": c.hypotheses}
+                for c in listed
+            ],
+        }
+        return (json.dumps(payload, indent=2, default=ratio) + "\n").encode()
+    rows = []
+    for c in listed:
+        d = c.details
+        exclusion = c.branch is Branch.TABLE1_EXCLUSION
+        roots = ";".join(map(ratio, d.get("lambda_roots", ())))
+        if exclusion and not roots and fmt == "md":
+            roots = "none"
+        rows.append([
+            *c.candidate, c.prime, c.t, c.branch.value, d["chi_top_X"],
+            d["c4_W"] if exclusion else "", ratio(d["delta"]) if exclusion else "",
+            roots, d["m"], d["k"],
+        ])
+    if fmt == "csv":
+        head = "b2,b3,prime,t,branch,chi_top_X,c4_W,delta,lambda_roots,m,k,version,input_digest\n"
+        body = "".join(
+            ",".join(map(str, [*row, __version__, digest])) + "\n" for row in rows
+        )
+        return (head + body).encode()
+    head = (
+        f"# Contradiction certificates\n\n- version: {__version__}\n"
+        f"- input digest: {digest}\n- certificates: {len(listed)} ("
+        + ", ".join(f"{name}: {count}" for name, count in counts.items())
+        + ")\n\n| b2 | b3 | prime | t | branch | chi_top_X | c4_W | delta "
+        "| lambda_roots | m | k |\n"
+        "|---:|---:|------:|--:|--------|----------:|-----:|------:"
+        "|--------------|--:|--:|\n"
+    )
+    return (head + "".join("| " + " | ".join(map(str, row)) + " |\n" for row in rows)).encode()
 
 
-def test_emit_report_same_bytes_for_shared_and_copied_details():
-    # prove's groups, their runs, the runs split at t = 2, the certificates
-    # (a single-t run each), and copies with a details object each
+def test_emit_report_matches_a_reference_rendering_of_each_certificate():
+    # the writer fills one template per branch; the reference renders each
+    # certificate on its own: both branches, c4 = 0 pairs out of sorted
+    # order, and primes out of increasing order
     cf = parse_candidates(_REGION3_AND_C4_ZERO)
     certs = prove(cf, primes=(5, 2, 3), t_max=3)
-    split = Certificates(
-        run._replace(ts=ts) for run in certs.runs for ts in (run.ts[:2], run.ts[2:])
-    )
-    copies = Certificates(
-        CertificateRun(
-            c.candidate, c.prime, range(c.t, c.t + 1), c.branch, dict(c.details),
-            c.hypotheses,
-        )
-        for c in certs
-    )
-    assert len(certs.runs) == 128 * 3 < len(split.runs) < len(copies.runs) == len(certs)
-    assert certs.branch_counts() == copies.branch_counts() == {
+    assert certs.branch_counts() == {
         "LefschetzMismatch": 122 * 3 * 4, "Table1Exclusion": 6 * 3 * 4,
     }
-    assert len({id(c.details) for c in certs}) < len({id(c.details) for c in copies})
-    _same_reports(cf, certs, Certificates(certs.runs), split, Certificates(iter(certs)),
-                  copies)
+    for fmt in ("json", "csv", "md"):
+        blob = emit_report(certs, fmt, input_digest=cf.digest)
+        assert blob == _reference_report(certs, fmt, cf.digest), fmt
 
 
 def test_emit_report_same_bytes_for_any_prime_order():
@@ -1145,38 +1161,9 @@ def test_emit_report_same_bytes_for_any_prime_order():
     shuffled = prove(cf, primes=(5, 2, 3), t_max=3)
     ordered = prove(cf, primes=(2, 3, 5), t_max=3)
     assert [run.prime for run in shuffled.runs][:3] == [5, 2, 3]
-    _same_reports(cf, shuffled, ordered, Certificates(shuffled.runs),
-                  Certificates(iter(shuffled)))
-
-
-def test_emit_report_json_tail_follows_branch_details_and_hypotheses():
-    # one details object under two branches and two hypotheses tuples
-    (run,) = prove(parse_candidates("b2,b3\n23,0\n"), primes=(2,), t_max=0).runs
-    certs = Certificates([
-        run,
-        run._replace(ts=range(1, 2), hypotheses=("h",)),
-        run._replace(ts=range(2, 3), branch=Branch.TABLE1_EXCLUSION),
-    ])
-    data = json.loads(emit_report(certs, "json"))
-    assert [(c["branch"], c["hypotheses"]) for c in data["certificates"]] == [
-        ("LefschetzMismatch", list(run.hypotheses)),
-        ("LefschetzMismatch", ["h"]),
-        ("Table1Exclusion", list(run.hypotheses)),
-    ]
-    assert all(c["details"]["chi_top_X"] == 324 for c in data["certificates"])
-
-
-def test_emit_report_rows_follow_the_prime_and_ts_of_runs_sharing_details():
-    # four runs share one details object; each keeps its own prime and ts
-    (run,) = prove(parse_candidates("b2,b3\n23,0\n"), primes=(2,), t_max=0).runs
-    certs = Certificates([
-        run._replace(prime=5), run, run._replace(ts=range(1, 3)), run._replace(prime=3),
-    ])
-    lines = emit_report(certs, "csv").decode().splitlines()[1:]
-    assert [line.split(",")[:4] for line in lines] == [
-        ["23", "0", "2", "0"], ["23", "0", "2", "1"], ["23", "0", "2", "2"],
-        ["23", "0", "3", "0"], ["23", "0", "5", "0"],
-    ]
+    for fmt in ("json", "csv", "md"):
+        blobs = (emit_report(c, fmt, input_digest=cf.digest) for c in (shuffled, ordered))
+        assert len(set(blobs)) == 1, fmt
 
 
 def test_emit_filter_report_layout_and_digest_on_flagged_rows():
